@@ -21,6 +21,7 @@ from .errors import (
     DimensionError,
     IterationLimitError,
     MatrixMarketError,
+    NonFiniteError,
     UnknownSchemeError,
 )
 from .gmres import GmresConfig, GmresResult, backward_error, gmres_solve

@@ -6,48 +6,36 @@ breakdown (the new direction lies in the current span) the subdiagonal is
 reported as zero, the returned Hbar is square, and the expansion stops; a
 breakdown is never normalized through.
 
-The delayed variant mirrors the one-reduction QR scheme: the matrix is
-applied to the unnormalized pending vector (its image is computed eagerly
-at stash time so the fused reduction consumes both blocks), the
-normalization uses the Pythagorean identity, and the Hessenberg column is
-assembled across two iterations through the correction ledger K.
+The Gram-Schmidt schemes run on the QR push states of ``ortho``: the
+expansion applies the operator, pushes the image, and reads the Hessenberg
+column off the coefficients of the basis column the push emits.  The
+delayed schemes emit one column late, so the matrix is applied to the
+unnormalized pending vector (its image is computed eagerly at stash time
+so the fused reduction consumes both blocks).
 """
 
 import numpy as np
 
 from .dense import householder_qr
-from .errors import BreakdownError, DimensionError, UnknownSchemeError
-from .kernels import dot, mv_times_mat_add_mv, mv_trans_mv, norm2
+from .errors import BreakdownError, DimensionError
+from .kernels import dot, mv_times_mat_add_mv
 from .ledger import SyncLedger
-from .ortho import make_state
+from .ortho import SCHEME_IDS, check_finite, independent, make_state
 
-_EPS = np.finfo(np.float64).eps
-
-ARNOLDI_SCHEMES = (
-    "cgs",
-    "cgs2",
-    "cgs2-lagged",
-    "mgs",
-    "icwy-mgs",
-    "dcgs2",
-    "dcgs2-hrt",
-    "householder",
-)
-
-_IMMEDIATE = ("cgs", "cgs2", "cgs2-lagged", "mgs")
+ARNOLDI_SCHEMES = SCHEME_IDS
 
 
 class _BaseArnoldi:
     scheme_id = None
 
-    def __init__(self, op, capacity, ledger):
+    def __init__(self, op, capacity, ledger, v=None):
         if capacity < 2:
             raise DimensionError("capacity of at least 2 basis vectors required")
         self.op = op
         self.capacity = capacity
         self.ledger = ledger if ledger is not None else SyncLedger()
         self.m = op.shape[0]
-        self._v = np.zeros((self.m, capacity), order="F")
+        self._v = np.zeros((self.m, capacity), order="F") if v is None else v
         self._h = np.zeros((capacity, capacity - 1))
         self.nbasis = 0  # finalized orthonormal basis columns
         self.hcols = 0  # fully assembled Hessenberg columns
@@ -107,6 +95,13 @@ class _BaseArnoldi:
             self._h[: self.nbasis, : self.hcols].copy(),
         )
 
+    def _adopt(self, basis, hbar):
+        """Continue from k+1 orthonormal columns and a (k+1)-by-k Hbar."""
+        k = hbar.shape[1]
+        self._h[: k + 1, :k] = hbar
+        self.nbasis = k + 1
+        self.hcols = k
+
     def _step(self):
         raise NotImplementedError
 
@@ -118,341 +113,98 @@ class _BaseArnoldi:
         return False
 
 
-class _ImmediateArnoldi(_BaseArnoldi):
-    """Schemes that finish each column within its own step.
+class _GramSchmidtArnoldi(_BaseArnoldi):
+    """Expansion over a QR push state, which owns the basis storage.
 
-    The start vector is normalized locally during setup: per-iteration
-    reduction counts start with the first projection step, matching the
-    per-column cost accounting.
+    Each push emits basis column j together with its coefficients and norm,
+    which are column j-1 of Hbar.  The immediate schemes normalize the start
+    vector locally during setup, so per-iteration reduction counts start
+    with the first projection step.  The delayed schemes push the start
+    vector unnormalized, emit it at the first step, and from then on push
+    the image of the unnormalized pending vector.  dcgs2 emits that vector
+    corrected by Q c, so the image's coefficients take the Hessenberg
+    correction K = T - H c / alpha, which completes one step later.
     """
 
-    def __init__(self, op, start, scheme, capacity, ledger=None):
-        super().__init__(op, capacity, ledger)
+    def __init__(self, op, start, scheme, capacity, ledger=None, **options):
+        self.state = make_state(scheme, op.shape[0], capacity, ledger=ledger, **options)
+        super().__init__(op, capacity, self.state.ledger, v=self.state._q)
         self.scheme_id = scheme
-        self.engine = make_state(scheme, self.m, capacity, ledger=self.ledger)
-        if start is not None:
-            nrm = float(np.linalg.norm(start))
-            if not nrm > 0.0:
-                raise ValueError("zero start vector")
+        self._image = None  # operator image of the pending column
+        if start is None:
+            return
+        start = np.asarray(start, dtype=np.float64)
+        nrm = float(np.linalg.norm(start))
+        if not nrm > 0.0:
+            raise ValueError("zero start vector")
+        if self.state.delayed:
+            self.state.push(start)
+            self._image = self.op.apply(self._v[:, 0])
+        else:
             self.start_norm = nrm
-            self.engine.adopt(np.asarray(start, dtype=np.float64) / nrm)
-            self._v[:, 0] = self.engine.q[:, 0]
+            self.state.adopt(start / nrm)
             self.nbasis = 1
 
-    @classmethod
-    def resume(cls, op, basis, hbar, scheme, capacity, ledger=None):
-        self = cls(op, None, scheme, capacity, ledger)
-        k = hbar.shape[1]
-        self.engine.adopt_block(np.asarray(basis, dtype=np.float64))
-        self._v[:, : k + 1] = basis
-        self._h[: k + 1, :k] = hbar
-        self.nbasis = k + 1
-        self.hcols = k
-        return self
+    def _adopt(self, basis, hbar):
+        self.state.adopt_block(basis)
+        super()._adopt(basis, hbar)
+
+    def _has_pending(self):
+        return self.state.pending is not None
 
     def _step(self):
-        v = self.op.apply(self._v[:, self.nbasis - 1])
         j = self.nbasis
+        state = self.state
         try:
-            self.engine.push(v)
+            if self._image is None:  # immediate scheme, or priming after a resume
+                state.push(self.op.apply(self._v[:, j - 1]))
+            else:
+                state.push(self._image, pending_image=True)
+                self.ledger.add_flops(self.m)  # the image's rescale by alpha
         except BreakdownError as err:
-            if err.kind != "dependent":
-                raise
-            coeffs = self.engine.last_coeffs
+            return self._stop(j, err)
+        if state.ncols > j:
+            self._record(j)
+            c = state.vector_correction
+            if c is not None:
+                hc = self._h[: j + 1, :j] @ c
+                self.ledger.add_flops(2 * (j + 1) * j)
+                state.pending = state.pending - hc / state.last_alpha
+        if state.pending is not None:
+            self._image = self.op.apply(self._v[:, state.ncols])
+        return True
+
+    def _flush(self):
+        j = self.nbasis
+        self._image = None
+        try:
+            self.state.flush()
+        except BreakdownError as err:
+            self._stop(j, err)
+        if self.state.ncols > j:
+            self._record(j)
+
+    def _record(self, j):
+        """Basis column j was emitted: its coefficients are Hbar column j-1."""
+        self._write_column(j, self.state.last_alpha)
+        self.nbasis = j + 1
+        if j == 0:
+            self.start_norm = self.state.last_alpha
+
+    def _stop(self, j, err):
+        """A dependent column j is a happy breakdown: zero subdiagonal."""
+        if err.kind != "dependent":
+            raise err
+        self._write_column(j, 0.0)
+        self._image = None
+        return self._mark_happy()
+
+    def _write_column(self, j, alpha):
+        if j > 0:
+            coeffs = self.state.last_coeffs
             self._h[: len(coeffs), j - 1] = coeffs
-            self._h[j, j - 1] = 0.0
-            self.hcols = j
-            return self._mark_happy()
-        coeffs = self.engine.last_coeffs
-        self._h[: len(coeffs), j - 1] = coeffs
-        self._h[j, j - 1] = self.engine.last_alpha
-        self._v[:, j] = self.engine.q[:, j]
-        self.nbasis += 1
-        self.hcols = j
-        return True
-
-
-class _IcwyArnoldi(_BaseArnoldi):
-    """Lagged one-reduction MGS expansion (inverse compact WY projector).
-
-    The pending direction is held unnormalized; the single fused reduction
-    of the next step returns its exact squared norm, the lagged row of L,
-    and the projection coefficients of its operator image.  The Hessenberg
-    column head is written at stash time and the subdiagonal completes one
-    step later.
-    """
-
-    scheme_id = "icwy-mgs"
-
-    def __init__(self, op, start, capacity, ledger=None, symmetric=False):
-        super().__init__(op, capacity, ledger)
-        self.symmetric = symmetric
-        self._l = np.zeros((capacity, capacity))
-        self._u = None
-        self._au = None
-        self._uscale = 0.0
-        if start is not None:
-            start = np.asarray(start, dtype=np.float64)
-            nrm = float(np.linalg.norm(start))
-            if not nrm > 0.0:
-                raise ValueError("zero start vector")
-            self._u = start.copy()
-            self._au = self.op.apply(self._u)
-            self._uscale = nrm
-
-    @classmethod
-    def resume(cls, op, basis, hbar, capacity, ledger=None, symmetric=False):
-        self = cls(op, None, capacity, ledger, symmetric=symmetric)
-        basis = np.asarray(basis, dtype=np.float64)
-        k = hbar.shape[1]
-        self._v[:, : k + 1] = basis
-        self._h[: k + 1, :k] = hbar
-        self.nbasis = k + 1
-        self.hcols = k
-        if k + 1 > 1:
-            g = mv_trans_mv(basis, basis, ledger=self.ledger)
-            self._l[: k + 1, : k + 1] = np.tril(g, -1)
-        return self
-
-    def _has_pending(self):
-        return self._u is not None
-
-    def _apply_projector(self, s):
-        k = len(s)
-        if k == 0:
-            return s
-        L = self._l[:k, :k]
-        if self.symmetric:
-            y = s - L @ s - L.T @ s
-            self.ledger.add_flops(4 * k * k)
-        else:
-            import scipy.linalg
-
-            y = scipy.linalg.solve_triangular(
-                np.eye(k) + L, s, lower=True, unit_diagonal=True
-            )
-            self.ledger.add_flops(k * k)
-        return y
-
-    def _stash(self, u, scale):
-        self._u = u
-        self._au = self.op.apply(u)
-        self._uscale = scale
-
-    def _step(self):
-        if self._u is None:
-            # resumed without pending work: prime from the last basis column
-            v = self.op.apply(self._v[:, self.nbasis - 1])
-            s = mv_trans_mv(self.basis, v[:, None], ledger=self.ledger)[:, 0]
-            y = self._apply_projector(s)
-            u = v.copy()[:, None]
-            mv_times_mat_add_mv(u, self.basis, y[:, None], sign=-1.0, ledger=self.ledger)
-            self._h[: self.nbasis, self.hcols] = y
-            self._stash(u[:, 0], float(np.linalg.norm(v)))
-            return True
-        j = self.nbasis  # pending column index
-        left = np.hstack([self.basis, self._u[:, None]])
-        right = np.column_stack([self._u, self._au])
-        g = mv_trans_mv(left, right, ledger=self.ledger)
-        c = g[:j, 0]
-        beta = float(g[j, 0])
-        s = g[:j, 1]
-        s_piv = float(g[j, 1])
-        alpha = float(np.sqrt(max(beta, 0.0)))
-        if not alpha > _EPS * np.sqrt(self.m) * self._uscale:
-            if j > 0:
-                self._h[j, j - 1] = 0.0
-                self.hcols = j
-            self._u = None
-            return self._mark_happy()
-        if self.start_norm is None:
-            self.start_norm = alpha
-        self._v[:, j] = self._u / alpha
-        self._l[j, :j] = c / alpha
-        if j > 0:
             self._h[j, j - 1] = alpha
             self.hcols = j
-        self.nbasis += 1
-        s_full = np.append(s, s_piv / alpha) / alpha
-        y = self._apply_projector(s_full)
-        u = (self._au / alpha)[:, None]
-        self.ledger.add_flops(self.m)
-        mv_times_mat_add_mv(
-            u, self._v[:, : j + 1], y[:, None], sign=-1.0, ledger=self.ledger
-        )
-        self._h[: j + 1, j] = y
-        self._stash(u[:, 0], float(np.linalg.norm(self._au)) / alpha)
-        return True
-
-    def _flush(self):
-        if self._u is None:
-            return
-        j = self.nbasis
-        alpha = norm2(self._u, ledger=self.ledger)
-        if not alpha > _EPS * np.sqrt(self.m) * self._uscale:
-            if j > 0:
-                self._h[j, j - 1] = 0.0
-                self.hcols = j
-            self._u = None
-            self._mark_happy()
-            return
-        self._v[:, j] = self._u / alpha
-        if j > 0:
-            self._h[j, j - 1] = alpha
-            self.hcols = j
-        self.nbasis += 1
-        self._u = None
-
-
-class _DelayedArnoldi(_BaseArnoldi):
-    """One-reduction delayed reorthogonalization expansion.
-
-    With ``corrected=True`` this is the stable variant: Pythagorean norm,
-    lagged-coefficient correction, and the Hessenberg correction ledger
-    K = T - H C / alpha whose column completes one iteration later.  With
-    ``corrected=False`` all three corrections are dropped (the raw lagged
-    norm normalizes the uncorrected vector) while the delayed coefficients
-    still enter H, the defective variant of Hernandez et al.
-    """
-
-    def __init__(self, op, start, capacity, ledger=None, corrected=True):
-        super().__init__(op, capacity, ledger)
-        self.corrected = corrected
-        self.scheme_id = "dcgs2" if corrected else "dcgs2-hrt"
-        self._w = None
-        self._aw = None
-        self._wscale = 0.0
-        self._k = None  # pending Hessenberg column (completes with next c)
-        if start is not None:
-            start = np.asarray(start, dtype=np.float64)
-            nrm = float(np.linalg.norm(start))
-            if not nrm > 0.0:
-                raise ValueError("zero start vector")
-            self._w = start.copy()
-            self._aw = self.op.apply(self._w)
-            self._wscale = nrm
-
-    @classmethod
-    def resume(cls, op, basis, hbar, capacity, ledger=None, corrected=True):
-        self = cls(op, None, capacity, ledger, corrected=corrected)
-        basis = np.asarray(basis, dtype=np.float64)
-        k = hbar.shape[1]
-        self._v[:, : k + 1] = basis
-        self._h[: k + 1, :k] = hbar
-        self.nbasis = k + 1
-        self.hcols = k
-        return self
-
-    def _has_pending(self):
-        return self._w is not None
-
-    def _step(self):
-        if self._w is None:
-            # resumed without pending work: one priming projection of the
-            # image of the (already normalized) last basis column
-            v = self.op.apply(self._v[:, self.nbasis - 1])
-            s = mv_trans_mv(self.basis, v[:, None], ledger=self.ledger)[:, 0]
-            w = v.copy()[:, None]
-            mv_times_mat_add_mv(w, self.basis, s[:, None], sign=-1.0, ledger=self.ledger)
-            self._k = s
-            self._w = w[:, 0]
-            self._aw = self.op.apply(self._w)
-            self._wscale = float(np.linalg.norm(v))
-            return True
-        j = self.nbasis  # pending column index
-        Q = self.basis
-        left = np.hstack([Q, self._w[:, None]])
-        right = np.column_stack([self._w, self._aw])
-        g = mv_trans_mv(left, right, ledger=self.ledger)
-        c = g[:j, 0]
-        beta = float(g[j, 0])
-        s = g[:j, 1]
-        s_piv = float(g[j, 1])
-        if not np.sqrt(max(beta, 0.0)) > _EPS * np.sqrt(self.m) * self._wscale:
-            # pending direction vanished: invariant subspace found
-            if j > 0:
-                self._h[:j, j - 1] = self._k + c
-                self._h[j, j - 1] = 0.0
-                self.hcols = j
-            self._w = None
-            return self._mark_happy()
-        if self.corrected:
-            alpha_sq = beta - float(c @ c)
-            self.ledger.add_flops(2 * j)
-            if not alpha_sq > beta * _EPS * _EPS:
-                raise BreakdownError(
-                    f"cancellation in the delayed norm of basis column {j}",
-                    kind="pythagorean",
-                    column=j,
-                )
-            alpha = float(np.sqrt(alpha_sq))
-            u = self._w[:, None].copy()
-            mv_times_mat_add_mv(u, Q, c[:, None], sign=-1.0, ledger=self.ledger)
-            qnew = u[:, 0] / alpha
-            t_piv = (s_piv - float(c @ s)) / (alpha * alpha)
-            self.ledger.add_flops(2 * j)
-        else:
-            alpha = float(np.sqrt(beta))
-            qnew = self._w / alpha
-            t_piv = s_piv / (alpha * alpha)
-        if self.start_norm is None:
-            self.start_norm = alpha
-        t_full = np.append(s / alpha, t_piv)
-        # complete the previous Hessenberg column, then ledger the new one
-        if j > 0:
-            self._h[:j, j - 1] = self._k + c
-            self._h[j, j - 1] = alpha
-            self.hcols = j
-        self._v[:, j] = qnew
-        self.nbasis += 1
-        if self.corrected:
-            hc = self._h[: j + 1, :j] @ c
-            self.ledger.add_flops(2 * (j + 1) * j)
-            self._k = t_full - hc / alpha
-        else:
-            self._k = t_full
-        vscale = float(np.linalg.norm(self._aw)) / alpha  # pre-projection norm
-        w = (self._aw / alpha)[:, None]
-        self.ledger.add_flops(self.m)
-        mv_times_mat_add_mv(
-            w, self._v[:, : j + 1], t_full[:, None], sign=-1.0, ledger=self.ledger
-        )
-        self._w = w[:, 0]
-        self._aw = self.op.apply(self._w)
-        self._wscale = vscale
-        return True
-
-    def _flush(self):
-        if self._w is None:
-            return
-        j = self.nbasis
-        Q = self.basis
-        if self.corrected:
-            c = mv_trans_mv(Q, self._w[:, None], ledger=self.ledger)[:, 0]
-            u = self._w[:, None].copy()
-            mv_times_mat_add_mv(u, Q, c[:, None], sign=-1.0, ledger=self.ledger)
-            alpha = norm2(u[:, 0], ledger=self.ledger)
-        else:
-            c = np.zeros(j)
-            u = self._w[:, None]
-            alpha = norm2(self._w, ledger=self.ledger)
-        if not alpha > _EPS * np.sqrt(self.m) * self._wscale:
-            if j > 0:
-                self._h[:j, j - 1] = self._k + c
-                self._h[j, j - 1] = 0.0
-                self.hcols = j
-            self._w = None
-            self._mark_happy()
-            return
-        if self.start_norm is None:
-            self.start_norm = alpha
-        if j > 0:
-            self._h[:j, j - 1] = self._k + c
-            self._h[j, j - 1] = alpha
-            self.hcols = j
-        self._v[:, j] = u[:, 0] / alpha
-        self.nbasis += 1
-        self._w = None
 
 
 class _HouseholderArnoldi(_BaseArnoldi):
@@ -474,21 +226,15 @@ class _HouseholderArnoldi(_BaseArnoldi):
             self._v[:, 0] = self._form_basis_column(0)
             self.nbasis = 1
 
-    @classmethod
-    def resume(cls, op, basis, hbar, capacity, ledger=None):
-        self = cls(op, None, capacity, ledger)
-        basis = np.asarray(basis, dtype=np.float64)
-        k = hbar.shape[1]
+    def _adopt(self, basis, hbar):
         # re-encode the orthonormal basis as reflectors; R is +I to rounding
+        k = hbar.shape[1]
         fac = householder_qr(basis, ledger=self.ledger)
         self._refl[:, : k + 1] = fac.reflectors
         self._betas[: k + 1] = fac.betas
         self._nrefl = k + 1
         self._v[:, : k + 1] = basis
-        self._h[: k + 1, :k] = hbar
-        self.nbasis = k + 1
-        self.hcols = k
-        return self
+        super()._adopt(basis, hbar)
 
     def _apply_forward(self, z):
         """z <- P_{r-1} ... P_0 z."""
@@ -542,11 +288,11 @@ class _HouseholderArnoldi(_BaseArnoldi):
     def _step(self):
         j = self.nbasis
         v = self.op.apply(self._v[:, j - 1])
+        check_finite(v, self.scheme_id, j)
         scale = float(np.linalg.norm(v))
         z = self._apply_forward(v.copy())
         self._h[:j, j - 1] = z[:j]
-        tail = z[j:]
-        if not float(np.linalg.norm(tail)) > _EPS * np.sqrt(self.m) * scale:
+        if not independent(float(np.linalg.norm(z[j:])), scale, self.m):
             self._h[j, j - 1] = 0.0
             self.hcols = j
             return self._mark_happy()
@@ -560,17 +306,9 @@ class _HouseholderArnoldi(_BaseArnoldi):
 
 def arnoldi(op, start, scheme, capacity, ledger=None, **options):
     """Construct an expansion for a scheme id from a start vector."""
-    if scheme in _IMMEDIATE:
-        return _ImmediateArnoldi(op, start, scheme, capacity, ledger)
-    if scheme == "icwy-mgs":
-        return _IcwyArnoldi(op, start, capacity, ledger, **options)
-    if scheme == "dcgs2":
-        return _DelayedArnoldi(op, start, capacity, ledger, corrected=True)
-    if scheme == "dcgs2-hrt":
-        return _DelayedArnoldi(op, start, capacity, ledger, corrected=False)
     if scheme == "householder":
-        return _HouseholderArnoldi(op, start, capacity, ledger)
-    raise UnknownSchemeError(f"unknown scheme {scheme!r}")
+        return _HouseholderArnoldi(op, start, capacity, ledger, **options)
+    return _GramSchmidtArnoldi(op, start, scheme, capacity, ledger, **options)
 
 
 def resume_arnoldi(op, basis, hbar, scheme, capacity, ledger=None, **options):
@@ -585,19 +323,9 @@ def resume_arnoldi(op, basis, hbar, scheme, capacity, ledger=None, **options):
         raise DimensionError(
             f"expected (m, k+1) basis with (k+1, k) hbar, got {basis.shape} {hbar.shape}"
         )
-    if scheme in _IMMEDIATE:
-        return _ImmediateArnoldi.resume(op, basis, hbar, scheme, capacity, ledger)
-    if scheme == "icwy-mgs":
-        return _IcwyArnoldi.resume(op, basis, hbar, capacity, ledger, **options)
-    if scheme == "dcgs2":
-        return _DelayedArnoldi.resume(op, basis, hbar, capacity, ledger, corrected=True)
-    if scheme == "dcgs2-hrt":
-        return _DelayedArnoldi.resume(
-            op, basis, hbar, capacity, ledger, corrected=False
-        )
-    if scheme == "householder":
-        return _HouseholderArnoldi.resume(op, basis, hbar, capacity, ledger)
-    raise UnknownSchemeError(f"unknown scheme {scheme!r}")
+    exp = arnoldi(op, None, scheme, capacity, ledger, **options)
+    exp._adopt(basis, hbar)
+    return exp
 
 
 def arnoldi_expand(op, start, scheme, steps, ledger=None, **options):

@@ -25,7 +25,7 @@ from .metrics import (
     representation_error_arnoldi,
     representation_error_qr,
 )
-from .ortho import SCHEME_IDS, qr_factorize
+from .ortho import PUSH_SCHEMES, SCHEME_IDS, qr_factorize
 from .problems import (
     CsrOperator,
     ManteuffelSpec,
@@ -38,9 +38,6 @@ from .problems import (
 
 DEFAULT_SEED = 1729
 SEED_ENV = "KLS_DEFAULT_SEED"
-
-_QR_SCHEMES = list(SCHEME_IDS)
-_COST_SCHEMES = ["cgs", "cgs2", "cgs2-lagged", "mgs", "icwy-mgs", "dcgs2", "dcgs2-hrt"]
 
 
 def _parse_list(text, cast=float):
@@ -98,7 +95,7 @@ def _fmt(x):
 def _cmd_qr_stability(args):
     seed = _resolve_seed(args)
     kappas = _parse_list(args.kappa_list)
-    schemes = args.scheme or _QR_SCHEMES
+    schemes = args.scheme or SCHEME_IDS
 
     def worker(point):
         scheme, kappa = point
@@ -145,45 +142,48 @@ def _make_operator(args, need_square=True):
     return CsrOperator(manteuffel_build(spec)), f"manteuffel:k={spec.k},beta={spec.beta}"
 
 
+def _arnoldi_reports(op, start, scheme, steps, stride):
+    """Expand step by step; report (StabilityReport, reductions, status) at
+    every stride-th step, the last step and the step a breakdown ends."""
+    led = SyncLedger()
+    out = []
+    exp = arnoldi(op, start, scheme, capacity=steps + 1, ledger=led)
+    try:
+        for step in range(1, steps + 1):
+            alive = exp.step()
+            if step % stride == 0 or not alive or step == steps:
+                rep = StabilityReport(
+                    scheme=scheme,
+                    step=step,
+                    loo=loss_of_orthogonality(exp.basis),
+                    rre=representation_error_arnoldi(op, exp.basis_extended, exp.h_extended),
+                )
+                out.append((rep, led.reductions, "ok" if alive else "happy-breakdown"))
+            if not alive:
+                break
+    except BreakdownError as err:
+        nan = float("nan")
+        rep = StabilityReport(scheme=scheme, step=step, loo=nan, rre=nan)
+        out.append((rep, led.reductions, f"breakdown-{err.kind}"))
+    return out
+
+
 def _cmd_arnoldi_stability(args):
     seed = _resolve_seed(args)
-    schemes = args.scheme or _QR_SCHEMES
+    schemes = args.scheme or SCHEME_IDS
     op, problem = _make_operator(args)
     steps = min(args.steps, op.n - 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     start = rng.standard_normal(op.n)
 
     def worker(scheme):
-        led = SyncLedger()
-        out = []
-        exp = arnoldi(op, start, scheme, capacity=steps + 1, ledger=led)
-        try:
-            for step in range(1, steps + 1):
-                alive = exp.step()
-                if step % args.stride == 0 or not alive or step == steps:
-                    rep = StabilityReport(
-                        scheme=scheme,
-                        step=step,
-                        loo=loss_of_orthogonality(exp.basis),
-                        rre=representation_error_arnoldi(
-                            op, exp.basis_extended, exp.h_extended
-                        ),
-                    )
-                    status = "happy-breakdown" if not alive else "ok"
-                    out.append(
-                        ",".join(
-                            [scheme, str(step), _fmt(rep.loo), _fmt(rep.rre),
-                             str(led.reductions), status]
-                        )
-                    )
-                if not alive:
-                    break
-        except BreakdownError as err:
-            out.append(
-                ",".join([scheme, str(len(out) * args.stride), "nan", "nan",
-                          str(led.reductions), f"breakdown-{err.kind}"])
+        return [
+            ",".join([scheme, str(rep.step), _fmt(rep.loo), _fmt(rep.rre),
+                      str(reductions), status])
+            for rep, reductions, status in _arnoldi_reports(
+                op, start, scheme, steps, args.stride
             )
-        return out
+        ]
 
     chunks = _run_points(schemes, worker, args.jobs)
     rows = [row for chunk in chunks for row in chunk]
@@ -291,7 +291,7 @@ def _cmd_gmres(args):
 
 def _cmd_sync_count(args):
     seed = _resolve_seed(args)
-    schemes = args.scheme or _COST_SCHEMES
+    schemes = args.scheme or PUSH_SCHEMES
     rng = np.random.Generator(np.random.PCG64(seed))
     a = rng.standard_normal((args.rows, args.cols))
     rows = []
@@ -322,44 +322,20 @@ def _cmd_sync_count(args):
 
 def _cmd_mm_run(args):
     seed = _resolve_seed(args)
-    schemes = args.scheme or _QR_SCHEMES
+    schemes = args.scheme or SCHEME_IDS
     op, problem = _make_operator(args)
     steps = min(args.steps, op.n - 1)
     rng = np.random.Generator(np.random.PCG64(seed))
     start = rng.standard_normal(op.n)
 
     def worker(scheme):
-        led = SyncLedger()
-        out = []
-        exp = arnoldi(op, start, scheme, capacity=steps + 1, ledger=led)
-        try:
-            for step in range(1, steps + 1):
-                alive = exp.step()
-                if step % args.stride == 0 or not alive or step == steps:
-                    rep = StabilityReport(
-                        scheme=scheme,
-                        step=step,
-                        loo=loss_of_orthogonality(exp.basis),
-                        rre=representation_error_arnoldi(
-                            op, exp.basis_extended, exp.h_extended
-                        ),
-                    )
-                    out.append(
-                        ",".join(
-                            [scheme, str(step), _fmt(rep.loo), _fmt(rep.rre),
-                             str(int(rep.loo > args.tol)),
-                             str(int(rep.rre > args.tol)),
-                             "happy-breakdown" if not alive else "ok"]
-                        )
-                    )
-                if not alive:
-                    break
-        except BreakdownError as err:
-            out.append(
-                ",".join([scheme, str(len(out) * args.stride), "nan", "nan",
-                          "1", "1", f"breakdown-{err.kind}"])
-            )
-        return out
+        # a breakdown row reports nan metrics, which count as above tol
+        return [
+            ",".join([scheme, str(rep.step), _fmt(rep.loo), _fmt(rep.rre),
+                      str(int(not rep.loo <= args.tol)),
+                      str(int(not rep.rre <= args.tol)), status])
+            for rep, _, status in _arnoldi_reports(op, start, scheme, steps, args.stride)
+        ]
 
     chunks = _run_points(schemes, worker, args.jobs)
     rows = [row for chunk in chunks for row in chunk]

@@ -18,6 +18,20 @@ class BreakdownError(RuntimeError):
         self.column = column
 
 
+class NonFiniteError(ValueError):
+    """A column or operator image holds NaN or infinity.
+
+    ``scheme`` names the orthogonalization scheme and ``step`` the column
+    it arrived as: the QR column index, or the Arnoldi step whose basis
+    column it would have produced.
+    """
+
+    def __init__(self, message, scheme=None, step=None):
+        super().__init__(message)
+        self.scheme = scheme
+        self.step = step
+
+
 class IterationLimitError(RuntimeError):
     """An iterative kernel exceeded its sweep budget without converging."""
 

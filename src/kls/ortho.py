@@ -5,7 +5,11 @@ column, ``finalize`` returns ``(Q, R)``.  The one-reduction schemes
 (``icwy-mgs``, ``dcgs2``, ``dcgs2-hrt``) hold one unnormalized pending
 column between pushes and emit the previous basis vector instead, which is
 what lets them fuse all synchronizing work of a column into a single
-reduction.
+reduction.  The pending column lives in the next free column of the basis
+storage, so the fused left operand [Q, w] is a view.
+
+These states are the only implementation of each scheme: the Arnoldi
+expansion in ``arnoldi`` pushes operator images into them.
 
 Scheme ids: cgs, cgs2, cgs2-lagged, mgs, icwy-mgs, dcgs2, dcgs2-hrt,
 householder.
@@ -15,25 +19,38 @@ import numpy as np
 import scipy.linalg
 
 from .dense import householder_qr
-from .errors import BreakdownError, DimensionError, UnknownSchemeError
+from .errors import BreakdownError, DimensionError, NonFiniteError, UnknownSchemeError
 from .kernels import dot, mv_times_mat_add_mv, mv_trans_mv, norm2
 from .ledger import SyncLedger
 
 _EPS = np.finfo(np.float64).eps
 
-SCHEME_IDS = (
-    "cgs",
-    "cgs2",
-    "cgs2-lagged",
-    "mgs",
-    "icwy-mgs",
-    "dcgs2",
-    "dcgs2-hrt",
-    "householder",
-)
 
-#: schemes that hold a pending column and need finalize to flush it
-DELAYED_SCHEMES = ("icwy-mgs", "dcgs2", "dcgs2-hrt")
+def independent(alpha, scale, m):
+    """True when a projected norm stands above the rounding noise of the
+    projection, which reaches sqrt(m)*eps*scale."""
+    return alpha > _EPS * np.sqrt(m) * scale
+
+
+def check_finite(a, scheme, step):
+    """Raise NonFiniteError, naming the scheme and step, on NaN or infinity."""
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError(
+            f"{scheme}: non-finite column at step {step}", scheme=scheme, step=step
+        )
+
+
+def _left_block(q, j):
+    """The fused left operand [Q, w]: the first j+1 basis columns, a view.
+
+    At j = 1 the block is copied to row-major order, the layout numpy
+    gives when it concatenates two single columns.  BLAS rounds the product
+    differently per layout, and the Krylov-Schur locking counts follow that
+    rounding.
+    """
+    if j == 1:
+        return np.ascontiguousarray(q[:, :2])
+    return q[:, : j + 1]
 
 
 class QrState:
@@ -45,6 +62,11 @@ class QrState:
     """
 
     scheme_id = None
+    delayed = False
+    #: coefficients c of the correction q = (w - Q c) / alpha that a delayed
+    #: scheme applied to the pending vector w it last emitted; None for the
+    #: schemes that emit the pending vector as held
+    vector_correction = None
 
     def __init__(self, m, n_cap, ledger=None):
         self.m = m
@@ -58,6 +80,9 @@ class QrState:
         # dependent-column breakdown these hold the attempted coefficients
         self.last_coeffs = None
         self.last_alpha = None
+        # projection coefficients of the pending column, None when none is
+        # held (always, for the immediate schemes)
+        self.pending = None
 
     @property
     def q(self):
@@ -71,11 +96,36 @@ class QrState:
         a = np.asarray(a, dtype=np.float64)
         if a.shape != (self.m,):
             raise DimensionError(f"column of length {self.m} expected, got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite column")
+        check_finite(a, self.scheme_id, self.npushed)
         if self.npushed >= self.n_cap:
             raise DimensionError("state capacity exhausted")
         return a
+
+    def _guard(self, coeffs, alpha, scale):
+        """Record the column's coefficients and norm; a column that vanished
+        to rounding is dropped and reported as dependent."""
+        self.last_coeffs, self.last_alpha = coeffs, alpha
+        if not independent(alpha, scale, self.m):
+            self._q[:, self.ncols] = 0.0
+            self.pending = None
+            raise BreakdownError(
+                f"column {self.ncols} is dependent at working precision "
+                f"(norm {alpha:.3e} against scale {scale:.3e})",
+                kind="dependent",
+                column=self.ncols,
+            )
+
+    def _pythagorean_norm(self, beta, c, column):
+        """Norm of w - Q c from beta = w.w and c = Q^T w."""
+        alpha_sq = beta - float(c @ c)
+        self.ledger.add_flops(2 * len(c))
+        if not alpha_sq > beta * _EPS * _EPS:
+            raise BreakdownError(
+                f"cancellation in the lagged norm of column {column}",
+                kind="pythagorean",
+                column=column,
+            )
+        return float(np.sqrt(alpha_sq))
 
     def _emit(self, qcol, coeffs, alpha):
         j = self.ncols
@@ -102,19 +152,13 @@ class QrState:
     def push(self, a):
         raise NotImplementedError
 
+    def flush(self):
+        """Emit the pending column, if any."""
+
     def finalize(self):
         """Flush pending work and return (Q, R)."""
+        self.flush()
         return self.q.copy(), self.r.copy()
-
-    def _guard_alpha(self, alpha, scale):
-        # rounding noise in a projected column reaches sqrt(m)*eps*scale
-        if not alpha > _EPS * np.sqrt(self.m) * scale:
-            raise BreakdownError(
-                f"column {self.npushed} is dependent at working precision "
-                f"(norm {alpha:.3e} against scale {scale:.3e})",
-                kind="dependent",
-                column=self.npushed,
-            )
 
 
 class CgsState(QrState):
@@ -130,8 +174,7 @@ class CgsState(QrState):
         u = a.copy()[:, None]
         mv_times_mat_add_mv(u, Q, s[:, None], sign=-1.0, ledger=self.ledger)
         alpha = norm2(u[:, 0], ledger=self.ledger)
-        self.last_coeffs, self.last_alpha = s, alpha
-        self._guard_alpha(alpha, scale)
+        self._guard(s, alpha, scale)
         self.npushed += 1
         self._emit(u[:, 0] / alpha, s, alpha)
 
@@ -149,13 +192,11 @@ class Cgs2State(QrState):
         w = a.copy()[:, None]
         mv_times_mat_add_mv(w, Q, s[:, None], sign=-1.0, ledger=self.ledger)
         c = mv_trans_mv(Q, w, ledger=self.ledger)[:, 0]
-        u = w
-        mv_times_mat_add_mv(u, Q, c[:, None], sign=-1.0, ledger=self.ledger)
-        alpha = norm2(u[:, 0], ledger=self.ledger)
-        self.last_coeffs, self.last_alpha = s + c, alpha
-        self._guard_alpha(alpha, scale)
+        mv_times_mat_add_mv(w, Q, c[:, None], sign=-1.0, ledger=self.ledger)
+        alpha = norm2(w[:, 0], ledger=self.ledger)
+        self._guard(s + c, alpha, scale)
         self.npushed += 1
-        self._emit(u[:, 0] / alpha, s + c, alpha)
+        self._emit(w[:, 0] / alpha, s + c, alpha)
 
 
 class Cgs2LaggedState(QrState):
@@ -175,32 +216,16 @@ class Cgs2LaggedState(QrState):
         j = self.ncols
         Q = self.q
         s = mv_trans_mv(Q, a[:, None], ledger=self.ledger)[:, 0]
-        w = a.copy()[:, None]
+        w = self._q[:, j : j + 1]  # [Q, w] is then a view
+        w[:, 0] = a
         mv_times_mat_add_mv(w, Q, s[:, None], sign=-1.0, ledger=self.ledger)
-        fused = mv_trans_mv(
-            np.hstack([Q, w]), w, ledger=self.ledger
-        )[:, 0]
+        fused = mv_trans_mv(_left_block(self._q, j), w, ledger=self.ledger)[:, 0]
         c, beta = fused[:j], fused[j]
-        self.last_coeffs, self.last_alpha = s + c, float(np.sqrt(max(beta, 0.0)))
-        if not np.sqrt(max(beta, 0.0)) > _EPS * np.sqrt(self.m) * scale:
-            raise BreakdownError(
-                f"column {self.npushed} is dependent at working precision",
-                kind="dependent",
-                column=self.npushed,
-            )
-        alpha_sq = beta - float(c @ c)
-        self.ledger.add_flops(2 * j)
-        if not alpha_sq > beta * _EPS * _EPS:
-            raise BreakdownError(
-                f"cancellation in the lagged norm of column {self.npushed}",
-                kind="pythagorean",
-                column=self.npushed,
-            )
-        alpha = float(np.sqrt(alpha_sq))
-        u = w
-        mv_times_mat_add_mv(u, Q, c[:, None], sign=-1.0, ledger=self.ledger)
+        self._guard(s + c, float(np.sqrt(max(beta, 0.0))), scale)
+        alpha = self._pythagorean_norm(beta, c, self.npushed)
+        mv_times_mat_add_mv(w, Q, c[:, None], sign=-1.0, ledger=self.ledger)
         self.npushed += 1
-        self._emit(u[:, 0] / alpha, s + c, alpha)
+        self._emit(w[:, 0] / alpha, s + c, alpha)
 
 
 class MgsState(QrState):
@@ -225,13 +250,81 @@ class MgsState(QrState):
                 u[:, None], qi[:, None], [[s[i]]], sign=-1.0, ledger=self.ledger
             )
         alpha = norm2(u, ledger=self.ledger)
-        self.last_coeffs, self.last_alpha = s, alpha
-        self._guard_alpha(alpha, scale)
+        self._guard(s, alpha, scale)
         self.npushed += 1
         self._emit(u / alpha, s, alpha)
 
 
-class IcwyMgsState(QrState):
+class _DelayedState(QrState):
+    """The one-reduction pipeline shared by the delayed schemes.
+
+    A push completes the pending column j and projects the incoming column
+    in one fused reduction [Q, w]^T [w, a]; each scheme supplies how the
+    incoming coefficients follow from the reduction (``_incoming``).  The
+    pending column is emitted as held (``_emit_pending``, ``flush``) unless
+    the scheme reorthogonalizes it first, as dcgs2 does.  The first push
+    into an empty basis only stashes its column; a push into an adopted basis
+    with nothing pending primes with one projection.
+
+    With ``pending_image=True`` the incoming column is the image of the
+    unnormalized pending column rather than of its normalized form, as in
+    an Arnoldi expansion: the push divides it and its coefficients by the
+    emitted norm.  A QR push divides by 1.0, which is exact.
+    """
+
+    delayed = True
+
+    def _stash(self, col, coeffs, scale):
+        j = self.ncols
+        self._q[:, j] = col
+        if j:
+            mv_times_mat_add_mv(
+                self._q[:, j : j + 1], self.q, coeffs[:, None], sign=-1.0,
+                ledger=self.ledger,
+            )
+        self.pending = coeffs
+        self._pscale = scale  # norm of the pending column's input, breakdown guard
+        self.npushed += 1
+
+    def _project(self, s):
+        """Projection coefficients from raw inner products against Q."""
+        return s
+
+    def push(self, a, pending_image=False):
+        a = self._take(a)
+        j = self.ncols  # pending column index
+        if self.pending is None:
+            s = np.zeros(0)
+            if j:
+                s = self._project(mv_trans_mv(self.q, a[:, None], ledger=self.ledger)[:, 0])
+            self._stash(a, s, float(np.linalg.norm(a)))
+            return
+        g = mv_trans_mv(
+            _left_block(self._q, j), np.column_stack([self._q[:, j], a]), ledger=self.ledger
+        )
+        c, s = g[:j, 0], g[:j, 1]
+        alpha = self._emit_pending(c, float(g[j, 0]))
+        d = alpha if pending_image else 1.0
+        coeffs = self._incoming(c, s, float(g[j, 1]), alpha, d)
+        self._stash(a / d, coeffs, float(np.linalg.norm(a)) / d)
+
+    def _emit_held(self, alpha):
+        """Emit the pending column as held, divided by its norm alpha."""
+        self._guard(self.pending, alpha, self._pscale)
+        self._emit(self._q[:, self.ncols] / alpha, self.pending, alpha)
+        return alpha
+
+    def _emit_pending(self, c, beta):
+        return self._emit_held(float(np.sqrt(max(beta, 0.0))))
+
+    def flush(self):
+        """Normalize the pending column as it stands: one reduction."""
+        if self.pending is not None:
+            self._emit_held(norm2(self._q[:, self.ncols], ledger=self.ledger))
+            self.pending = None
+
+
+class IcwyMgsState(_DelayedState):
     """One-reduction MGS via the inverse compact WY projector.
 
     The normalization is lagged: a push holds the fully projected column
@@ -250,9 +343,6 @@ class IcwyMgsState(QrState):
         super().__init__(m, n_cap, ledger)
         self._l = np.zeros((n_cap, n_cap))
         self.symmetric = symmetric
-        self._u = None  # pending projected column, not yet normalized
-        self._y = None  # its projection coefficients
-        self._uscale = 0.0
 
     def adopt_block(self, V):
         """Adopt orthonormal columns, seeding L with one fused Gram block."""
@@ -263,7 +353,7 @@ class IcwyMgsState(QrState):
             sl = slice(start, start + V.shape[1])
             self._l[sl, sl] = np.tril(g, -1)
 
-    def _solve_projector(self, s):
+    def _project(self, s):
         """Apply the inverse (or symmetric) compact WY correction to s."""
         k = len(s)
         L = self._l[:k, :k]
@@ -279,51 +369,17 @@ class IcwyMgsState(QrState):
             self.ledger.add_flops(k * k)
         return y
 
-    def push(self, a):
-        a = self._take(a)
-        if self._u is None:
-            self._u = a.copy()
-            self._y = np.zeros(0)
-            self._uscale = float(np.linalg.norm(a))
-            self.npushed += 1
-            return
-        j = self.ncols  # pending column index
-        Q = self.q
-        left = np.hstack([Q, self._u[:, None]])
-        right = np.column_stack([self._u, a])
-        g = mv_trans_mv(left, right, ledger=self.ledger)
-        c = g[:j, 0]
-        beta = float(g[j, 0])
-        s = g[:j, 1]
-        s_piv = float(g[j, 1])
-        alpha = float(np.sqrt(max(beta, 0.0)))
-        self._guard_alpha(alpha, self._uscale)
-        # emit the pending column; its Gram row against Q becomes the L row
-        self._l[j, :j] = c / alpha
-        self._emit(self._u / alpha, self._y, alpha)
-        s_full = np.append(s, s_piv / alpha)
-        y = self._solve_projector(s_full)
-        u = a.copy()[:, None]
-        mv_times_mat_add_mv(
-            u, self._q[:, : j + 1], y[:, None], sign=-1.0, ledger=self.ledger
-        )
-        self._u = u[:, 0]
-        self._y = y
-        self._uscale = float(np.linalg.norm(a))
-        self.npushed += 1
+    def _emit_pending(self, c, beta):
+        # the pending column's Gram row against Q becomes the L row
+        alpha = super()._emit_pending(c, beta)
+        self._l[len(c), : len(c)] = c / alpha
+        return alpha
 
-    def finalize(self):
-        if self._u is not None:
-            alpha = norm2(self._u, ledger=self.ledger)
-            self._guard_alpha(alpha, self._uscale)
-            self._l[self.ncols, : self.ncols] = 0.0  # row never observed
-            self._emit(self._u / alpha, self._y, alpha)
-            self._u = None
-            self._y = None
-        return super().finalize()
+    def _incoming(self, c, s, s_piv, alpha, d):
+        return self._project(np.append(s, s_piv / alpha) / d)
 
 
-class Dcgs2State(QrState):
+class Dcgs2State(_DelayedState):
     """Delayed CGS2: one fused reduction per column.
 
     The reorthogonalization and normalization of column j-1 are performed
@@ -337,83 +393,37 @@ class Dcgs2State(QrState):
 
     scheme_id = "dcgs2"
 
-    def __init__(self, m, n_cap, ledger=None):
-        super().__init__(m, n_cap, ledger)
-        self._w = None  # pending once-projected column
-        self._s = None  # its first-projection coefficients
-        self._wscale = 0.0  # original column norm, local breakdown guard
-
-    def _stash(self, w, s, scale):
-        self._w = w
-        self._s = s
-        self._wscale = scale
-        self.npushed += 1
-
-    def push(self, a):
-        a = self._take(a)
-        if self._w is None:
-            self._stash(a.copy(), np.zeros(0), float(np.linalg.norm(a)))
-            return
-        j = self.ncols  # pending column index
-        Q = self.q
-        left = np.hstack([Q, self._w[:, None]])
-        right = np.column_stack([self._w, a])
-        g = mv_trans_mv(left, right, ledger=self.ledger)
-        c = g[:j, 0]
-        beta = float(g[j, 0])
-        s_new = g[:j, 1]
-        s_piv = float(g[j, 1])
-        alpha = self._finish_pending(Q, c, beta, s_new=s_new)
-        # lagged coefficient of the new column against the just-emitted q,
-        # recovered from the unnormalized pending vector
-        s_piv = (s_piv - float(c @ s_new)) / alpha
-        self.ledger.add_flops(2 * j)
-        s_full = np.append(s_new, s_piv)
-        w = a.copy()[:, None]
-        mv_times_mat_add_mv(
-            w, self._q[:, : j + 1], s_full[:, None], sign=-1.0, ledger=self.ledger
-        )
-        self._stash(w[:, 0], s_full, float(np.linalg.norm(a)))
-
-    def _finish_pending(self, Q, c, beta, s_new):
+    def _emit_pending(self, c, beta):
         """Reorthogonalize, normalize, and emit the pending column."""
         j = self.ncols
-        if not np.sqrt(max(beta, 0.0)) > _EPS * np.sqrt(self.m) * self._wscale:
-            raise BreakdownError(
-                f"column {j} is dependent at working precision",
-                kind="dependent",
-                column=j,
-            )
-        alpha_sq = beta - float(c @ c)
-        self.ledger.add_flops(2 * j)
-        if not alpha_sq > beta * _EPS * _EPS:
-            raise BreakdownError(
-                f"cancellation in the delayed norm of column {j}",
-                kind="pythagorean",
-                column=j,
-            )
-        alpha = float(np.sqrt(alpha_sq))
-        u = self._w[:, None].copy()
-        mv_times_mat_add_mv(u, Q, c[:, None], sign=-1.0, ledger=self.ledger)
-        self._emit(u[:, 0] / alpha, self._s + c, alpha)
+        coeffs = self.pending + c
+        self._guard(coeffs, float(np.sqrt(max(beta, 0.0))), self._pscale)
+        alpha = self._pythagorean_norm(beta, c, j)
+        w = self._q[:, j : j + 1]
+        mv_times_mat_add_mv(w, self.q, c[:, None], sign=-1.0, ledger=self.ledger)
+        self._emit(w[:, 0] / alpha, coeffs, alpha)
+        self.vector_correction = c
         return alpha
 
-    def finalize(self):
-        if self._w is not None:
-            j = self.ncols
-            Q = self.q
-            c = mv_trans_mv(Q, self._w[:, None], ledger=self.ledger)[:, 0]
-            u = self._w[:, None].copy()
-            mv_times_mat_add_mv(u, Q, c[:, None], sign=-1.0, ledger=self.ledger)
-            alpha = norm2(u[:, 0], ledger=self.ledger)
-            self._guard_alpha(alpha, self._wscale)
-            self._emit(u[:, 0] / alpha, self._s + c, alpha)
-            self._w = None
-            self._s = None
-        return super().finalize()
+    def _incoming(self, c, s, s_piv, alpha, d):
+        # lagged coefficient of the new column against the just-emitted q,
+        # recovered from the unnormalized pending vector
+        s_piv = (s_piv - float(c @ s)) / (alpha * d)
+        self.ledger.add_flops(2 * len(c))
+        return np.append(s / d, s_piv)
+
+    def flush(self):
+        """Emit the pending column with a plain CGS2 pass: reorthogonalize
+        it once more, then normalize it."""
+        if self.pending is not None:
+            Q, w = self.q, self._q[:, self.ncols : self.ncols + 1]
+            c = mv_trans_mv(Q, w, ledger=self.ledger)[:, 0]
+            mv_times_mat_add_mv(w, Q, c[:, None], sign=-1.0, ledger=self.ledger)
+            self.pending = self.pending + c
+        super().flush()
 
 
-class Dcgs2HrtState(Dcgs2State):
+class Dcgs2HrtState(_DelayedState):
     """Delayed scheme without the post-normalization corrections.
 
     Runs the same fused-reduction pipeline as ``dcgs2`` but normalizes the
@@ -427,45 +437,15 @@ class Dcgs2HrtState(Dcgs2State):
 
     scheme_id = "dcgs2-hrt"
 
-    def push(self, a):
-        a = self._take(a)
-        if self._w is None:
-            self._stash(a.copy(), np.zeros(0), float(np.linalg.norm(a)))
-            return
-        j = self.ncols
-        Q = self.q
-        left = np.hstack([Q, self._w[:, None]])
-        right = np.column_stack([self._w, a])
-        g = mv_trans_mv(left, right, ledger=self.ledger)
-        c = g[:j, 0]
-        beta = float(g[j, 0])
-        s_new = g[:j, 1]
-        s_piv = float(g[j, 1])
-        alpha = self._finish_pending_raw(c, beta)
-        s_full = np.append(s_new, s_piv / alpha)
-        w = a.copy()[:, None]
-        mv_times_mat_add_mv(
-            w, self._q[:, : j + 1], s_full[:, None], sign=-1.0, ledger=self.ledger
-        )
-        self._stash(w[:, 0], s_full, float(np.linalg.norm(a)))
+    def _emit_pending(self, c, beta):
+        self.pending = self.pending + c  # c enters R but not the vector
+        return super()._emit_pending(c, beta)
 
-    def _finish_pending_raw(self, c, beta):
-        j = self.ncols
-        alpha = float(np.sqrt(max(beta, 0.0)))
-        self._guard_alpha(alpha, self._wscale)
-        self._emit(self._w / alpha, self._s + c, alpha)
-        return alpha
-
-    def finalize(self):
-        if self._w is not None:
-            alpha = norm2(self._w, ledger=self.ledger)
-            self._guard_alpha(alpha, self._wscale)
-            self._emit(self._w / alpha, self._s, alpha)
-            self._w = None
-            self._s = None
-        return self.q.copy(), self.r.copy()
+    def _incoming(self, c, s, s_piv, alpha, d):
+        return np.append(s / d, s_piv / (alpha * d))
 
 
+#: the scheme registry: one push state per left-looking scheme id
 _STATES = {
     cls.scheme_id: cls
     for cls in (
@@ -478,6 +458,14 @@ _STATES = {
         Dcgs2HrtState,
     )
 }
+
+#: schemes with a push state, each with a cost model in ``ledger``
+PUSH_SCHEMES = tuple(_STATES)
+
+SCHEME_IDS = PUSH_SCHEMES + ("householder",)
+
+#: schemes that hold a pending column and need finalize to flush it
+DELAYED_SCHEMES = tuple(s for s, cls in _STATES.items() if cls.delayed)
 
 
 def make_state(scheme, m, n_cap, ledger=None, **options):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kls.arnoldi import ARNOLDI_SCHEMES, arnoldi, arnoldi_expand, resume_arnoldi
-from kls.errors import DimensionError
+from kls.errors import DimensionError, NonFiniteError
 from kls.ledger import SyncLedger
 from kls.metrics import loss_of_orthogonality, representation_error_arnoldi
 from kls.ortho import qr_factorize
@@ -110,6 +110,31 @@ def test_eigenvector_start_immediate_breakdown():
     assert exp.happy
     assert h.shape == (1, 1) and h[0, 0] == pytest.approx(1.0)
     assert np.allclose(v[:, 0], [1.0, 0.0, 0.0])
+
+
+class _NanAt(DenseOperator):
+    """Dense operator whose image turns NaN at one application."""
+
+    def __init__(self, a, at):
+        super().__init__(a)
+        self.at = at
+
+    def _matvec(self, x):
+        y = super()._matvec(x)
+        if self.napply == self.at:
+            y[1] = np.nan
+        return y
+
+
+@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+def test_non_finite_image_raises_typed_error(scheme, rng):
+    # the delayed schemes consume the image of apply 4 at step 4, as the
+    # immediate ones do, so every scheme names the same step
+    op = _NanAt(rng.standard_normal((30, 30)), at=4)
+    with pytest.raises(NonFiniteError) as err:
+        arnoldi_expand(op, rng.standard_normal(30), scheme, steps=10)
+    assert err.value.scheme == scheme
+    assert err.value.step == 4
 
 
 def test_zero_start_rejected():

@@ -194,3 +194,38 @@ def test_mm_run_over_square_corpus(tmp_path):
         assert code == 0
         text = (tmp_path / "m.csv").read_text()
         assert "scheme,step,loo,rre" in text
+
+
+@pytest.mark.parametrize("command", ["arnoldi-stability", "mm-run"])
+def test_breakdown_row_reports_its_step(tmp_path, monkeypatch, command):
+    # a breakdown at step 7 with stride 5 is reported at step 7
+    import kls.cli
+    from kls.errors import BreakdownError
+    from kls.problems import ManteuffelSpec, manteuffel_build, write_matrix_market
+
+    expand = kls.cli.arnoldi
+
+    def breaks_at_step_7(*args, **kwargs):
+        exp = expand(*args, **kwargs)
+        step, calls = exp.step, []
+
+        def counted_step():
+            calls.append(None)
+            if len(calls) == 7:
+                raise BreakdownError("forced", kind="pythagorean")
+            return step()
+
+        exp.step = counted_step
+        return exp
+
+    monkeypatch.setattr(kls.cli, "arnoldi", breaks_at_step_7)
+    mtx = tmp_path / "m.mtx"
+    write_matrix_market(manteuffel_build(ManteuffelSpec(k=6)), str(mtx))
+    code, text = run_csv(
+        tmp_path,
+        [command, "--mtx", str(mtx), "--steps", "12", "--stride", "5",
+         "--scheme", "cgs2", "--seed", "2"],
+    )
+    assert code == 0
+    rows = [r.split(",") for r in rows_of(text)[1:]]
+    assert [(r[1], r[-1]) for r in rows] == [("5", "ok"), ("7", "breakdown-pythagorean")]

@@ -3,12 +3,24 @@ import pytest
 
 from kls.dense import householder_qr
 from kls.errors import BreakdownError, DimensionError, UnknownSchemeError
-from kls.ledger import SyncLedger, assert_matches, per_iteration_synchs, predicted_counts
+from kls.arnoldi import ARNOLDI_SCHEMES
+from kls.ledger import (
+    _COSTS,
+    SyncLedger,
+    assert_matches,
+    per_iteration_synchs,
+    predicted_counts,
+)
 from kls.metrics import loss_of_orthogonality, representation_error_qr
-from kls.ortho import DELAYED_SCHEMES, SCHEME_IDS, Dcgs2State, make_state, qr_factorize
+from kls.ortho import (
+    DELAYED_SCHEMES,
+    PUSH_SCHEMES,
+    SCHEME_IDS,
+    Dcgs2State,
+    make_state,
+    qr_factorize,
+)
 from kls.problems import synthetic_kappa
-
-PUSH_SCHEMES = [s for s in SCHEME_IDS if s != "householder"]
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +91,13 @@ def test_representation_error_machine_level(scheme, rng):
     assert representation_error_qr(a, q, r) <= 1e-13
 
 
+def test_registry_agrees_with_cost_models():
+    # every push scheme has a cost model and every cost model a push scheme
+    assert sorted(PUSH_SCHEMES) == sorted(_COSTS)
+    assert SCHEME_IDS == PUSH_SCHEMES + ("householder",) == ARNOLDI_SCHEMES
+    assert DELAYED_SCHEMES == ("icwy-mgs", "dcgs2", "dcgs2-hrt")
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(UnknownSchemeError):
         make_state("qrx", 10, 2)
@@ -145,13 +164,9 @@ def test_icwy_symmetric_variant_moderate_kappa():
 def test_dcgs2_hand_worked_step():
     # one finalized basis vector, pending column [3, 4, 1]
     state = Dcgs2State(3, 3)
-    state._q[:, 0] = [0.0, 0.0, 1.0]
-    state.ncols = 1
-    state.npushed = 1
-    state._w = np.array([3.0, 4.0, 1.0])
-    state._s = np.array([0.0])
-    state._wscale = float(np.linalg.norm(state._w))
-    state.npushed += 1
+    state.adopt(np.array([0.0, 0.0, 1.0]))
+    w = np.array([3.0, 4.0, 1.0])
+    state._stash(w, np.array([0.0]), float(np.linalg.norm(w)))
     state.push(np.array([1.0, 0.0, 0.0]))
     # beta = 26, c = 1, alpha = sqrt(25) = 5, q = (w - c*q0)/alpha
     assert state._r[1, 1] == pytest.approx(5.0, rel=1e-15)
@@ -203,9 +218,9 @@ def test_dcgs2_final_qr_matches_householder(rng):
 def test_dcgs2_pending_invariant(rng):
     state = make_state("dcgs2", 20, 5)
     state.push(rng.standard_normal(20))
-    assert state.npushed == 1 and state.ncols == 0 and state._w is not None
+    assert state.npushed == 1 and state.ncols == 0 and state.pending is not None
     state.push(rng.standard_normal(20))
-    assert state.npushed == 2 and state.ncols == 1 and state._w is not None
+    assert state.npushed == 2 and state.ncols == 1 and state.pending is not None
 
 
 def test_pythagorean_alpha_matches_direct_norm(rng):
