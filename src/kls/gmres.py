@@ -10,6 +10,7 @@ nested least-squares optimality.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .arnoldi import arnoldi
 from .ledger import SyncLedger
@@ -97,18 +98,14 @@ class _GivensLS:
         k = self.ncols if ncols is None else ncols
         if k == 0:
             return np.zeros(0)
-        r = self.r[:k, :k]
-        diag = np.abs(np.diag(r))
+        diag = np.diag(self.r[:k, :k])
         if np.any(diag == 0.0):
             # exact breakdown column: solve the nonsingular leading part
             k = int(np.argmax(diag == 0.0))
             if k == 0:
                 return np.zeros(self.ncols)
-            y = np.zeros(self.ncols)
-            y[:k] = np.linalg.solve(self.r[:k, :k], self.rhs[:k])
-            return y
         y = np.zeros(self.ncols)
-        y[: k] = np.linalg.solve(r, self.rhs[:k])
+        y[:k] = scipy.linalg.solve_triangular(self.r[:k, :k], self.rhs[:k])
         return y
 
 

@@ -274,9 +274,18 @@ class _DelayedState(QrState):
 
     delayed = True
 
-    def _stash(self, col, coeffs, scale):
+    def __init__(self, m, n_cap, ledger=None):
+        super().__init__(m, n_cap, ledger)
+        # the fused right operand [w, a]; row-major, because BLAS rounds the
+        # product differently per layout (see _left_block)
+        self._wa = np.empty((m, 2))
+
+    def _stash(self, col, coeffs, scale, d=1.0):
+        """Hold col / d, projected by coeffs, as the pending column."""
         j = self.ncols
         self._q[:, j] = col
+        if d != 1.0:
+            self._q[:, j] /= d
         if j:
             mv_times_mat_add_mv(
                 self._q[:, j : j + 1], self.q, coeffs[:, None], sign=-1.0,
@@ -299,14 +308,15 @@ class _DelayedState(QrState):
                 s = self._project(mv_trans_mv(self.q, a[:, None], ledger=self.ledger)[:, 0])
             self._stash(a, s, float(np.linalg.norm(a)))
             return
-        g = mv_trans_mv(
-            _left_block(self._q, j), np.column_stack([self._q[:, j], a]), ledger=self.ledger
-        )
+        wa = self._wa
+        wa[:, 0] = self._q[:, j]
+        wa[:, 1] = a
+        g = mv_trans_mv(_left_block(self._q, j), wa, ledger=self.ledger)
         c, s = g[:j, 0], g[:j, 1]
         alpha = self._emit_pending(c, float(g[j, 0]))
         d = alpha if pending_image else 1.0
         coeffs = self._incoming(c, s, float(g[j, 1]), alpha, d)
-        self._stash(a / d, coeffs, float(np.linalg.norm(a)) / d)
+        self._stash(a, coeffs, float(np.linalg.norm(a)) / d, d)
 
     def _emit_held(self, alpha):
         """Emit the pending column as held, divided by its norm alpha."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kls.gmres import GmresConfig, backward_error, gmres_solve
+from kls.gmres import GmresConfig, _GivensLS, backward_error, gmres_solve
 from kls.ledger import SyncLedger
 from kls.problems import (
     CsrOperator,
@@ -18,6 +18,26 @@ def test_identity_converges_in_one_iteration():
     assert res.iterations == 1
     assert res.breakdown and res.converged
     assert np.allclose(res.x, b, atol=1e-14)
+
+
+def test_givens_least_squares_matches_lstsq(rng):
+    hbar = np.triu(rng.standard_normal((7, 6)), -1)
+    ls = _GivensLS(6, 2.0)
+    for j in range(6):
+        ls.append(hbar[: j + 1, j], hbar[j + 1, j])
+    rhs = np.zeros(7)
+    rhs[0] = 2.0
+    y = np.linalg.lstsq(hbar, rhs, rcond=None)[0]
+    assert np.allclose(ls.solve(), y, rtol=1e-12, atol=1e-12)
+
+
+def test_givens_least_squares_zero_column_solves_leading_part():
+    # a zero Hessenberg column gives a zero diagonal: only the leading
+    # nonsingular part is solved, and the rest of y is zero
+    ls = _GivensLS(3, 2.0)
+    ls.append(np.array([3.0]), 4.0)
+    ls.append(np.zeros(2), 0.0)
+    assert np.allclose(ls.solve(), [2.0 * 3.0 / 25.0, 0.0], rtol=1e-15, atol=0.0)
 
 
 def test_laplace_slab_matches_direct_solve():

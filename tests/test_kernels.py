@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kls.errors import DimensionError
-from kls.kernels import dot, mv_times_mat_add_mv, mv_trans_mv, norm2
+from kls.kernels import _block_rows, dot, mv_times_mat_add_mv, mv_trans_mv, norm2
 from kls.ledger import MV_DOT, MV_TIMES_MAT_ADD_MV, MV_TRANS_MV, SyncLedger
 
 
@@ -96,6 +96,52 @@ def test_mv_trans_mv_empty_block_still_reduces():
     assert out.shape == (0, 1)
     assert led.reductions == 1
     assert led.flops == 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    k=st.integers(min_value=0, max_value=100),
+    l=st.integers(min_value=2, max_value=7),
+    where=st.sampled_from(["below", "at", "above", "remainder"]),
+    b_order=st.sampled_from("FC"),
+    x_order=st.sampled_from("FC"),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_mv_trans_mv_blocked_matches_product(k, l, where, b_order, x_order, seed):
+    gen = np.random.Generator(np.random.PCG64(seed))
+    r = _block_rows(k, l)
+    if where == "remainder":
+        m = 2 * r + int(gen.integers(1, r))
+    else:
+        m = r + {"below": -1, "at": 0, "above": 1}[where]
+    b = np.asarray(gen.standard_normal((m, k)), order=b_order)
+    x = np.asarray(gen.standard_normal((m, l)), order=x_order)
+    led = SyncLedger()
+    got = mv_trans_mv(b, x, ledger=led)
+    # the rounding of an inner product scales with the sum of |b_i x_i|
+    assert np.all(np.abs(got - b.T @ x) <= 1e-13 * (np.abs(b).T @ np.abs(x)))
+    assert led.reductions == 1
+    assert led.kernel_counts[MV_TRANS_MV] == 1
+    assert led.flops == 2 * m * k * l
+    if m > r:  # the summation order: row blocks of r, added in turn
+        acc = b[:r].T @ x[:r]
+        for i in range(r, m, r):
+            acc = acc + b[i : i + r].T @ x[i : i + r]
+        assert np.array_equal(got, acc)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 40, 101])
+@pytest.mark.parametrize("l", [1, 2, 7])
+def test_mv_trans_mv_exact_within_one_block(rng, k, l):
+    # one block, or one column at any height, stays one BLAS product bit for bit
+    r = _block_rows(k, l)
+    heights = [1, r // 2, r]
+    if l == 1:
+        heights += [r + 1, 3 * r + 5]
+    for m in heights:
+        b = np.asfortranarray(rng.standard_normal((m, k)))
+        x = rng.standard_normal((m, l))
+        assert np.array_equal(mv_trans_mv(b, x), b.T @ x)
 
 
 def test_mv_trans_mv_shape_error():
