@@ -237,24 +237,38 @@ def test_criterion_09_gmres_reduction_proxy():
 
 
 def test_criterion_10_eigen_count_ordering():
+    # One start vector is not enough: at restart 50 the locked count of a
+    # single run moves by up to 11 under rounding-level changes, so the
+    # ordering is asserted on the median count over five start vectors,
+    # and only the robust "every scheme beats cgs" on each run.
     spec = ManteuffelSpec(k=10)
     csr = manteuffel_build(spec)
     table = manteuffel_eigenvalues(spec)
+    schemes = ("cgs2", "dcgs2", "mgs", "cgs")
+    seeds = (7, 8, 9, 10, 11)
     counts = {}
-    for restart in (25, 50, 75):
-        for scheme in ("cgs", "mgs", "cgs2", "dcgs2"):
-            cfg = KrylovSchurConfig(
-                max_basis=restart, tol=1e-7, scheme=scheme, max_restarts=250
-            )
-            res = krylov_schur_run(CsrOperator(csr), cfg, seed=SEED, exact=table)
-            counts[(scheme, restart)] = match_eigenvalues(
-                res.values.real, table, 1e-7
-            ).n_matched
+    for seed in seeds:
+        for restart in (25, 50, 75):
+            for scheme in schemes:
+                cfg = KrylovSchurConfig(
+                    max_basis=restart, tol=1e-7, scheme=scheme, max_restarts=250
+                )
+                res = krylov_schur_run(CsrOperator(csr), cfg, seed=seed, exact=table)
+                counts[(scheme, restart, seed)] = match_eigenvalues(
+                    res.values.real, table, 1e-7
+                ).n_matched
     ok = True
     detail = []
     for r in (25, 50, 75):
-        c2, dc = counts[("cgs2", r)], counts[("dcgs2", r)]
-        mg, cg = counts[("mgs", r)], counts[("cgs", r)]
+        for seed in seeds:
+            c2, dc, mg, cg = (counts[(s, r, seed)] for s in schemes)
+            ok = ok and min(c2, dc, mg) >= cg
+        c2, dc, mg, cg = (
+            int(np.median([counts[(s, r, seed)] for seed in seeds])) for s in schemes
+        )
         ok = ok and abs(c2 - dc) <= 2 and min(c2, dc) >= mg and mg >= cg
-        detail.append(f"r{r}: cgs2={c2} dcgs2={dc} mgs={mg} cgs={cg}")
+        runs = " ".join(
+            "/".join(str(counts[(s, r, seed)]) for s in schemes) for seed in seeds
+        )
+        detail.append(f"r{r} seeds {runs}, median cgs2={c2} dcgs2={dc} mgs={mg} cgs={cg}")
     verdict(10, ok, "; ".join(detail))
