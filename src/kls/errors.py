@@ -19,11 +19,11 @@ class BreakdownError(RuntimeError):
 
 
 class NonFiniteError(ValueError):
-    """A column or operator image holds NaN or infinity.
+    """A column, operator image or Schur input holds NaN or infinity.
 
     ``scheme`` names the orthogonalization scheme and ``step`` the column
     it arrived as: the QR column index, or the Arnoldi step whose basis
-    column it would have produced.
+    column it would have produced.  Both are None for a Schur input.
     """
 
     def __init__(self, message, scheme=None, step=None):

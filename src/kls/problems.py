@@ -4,6 +4,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .dense import random_orthogonal
 from .errors import DimensionError, MatrixMarketError
@@ -85,15 +86,25 @@ class DenseOperator(LinearOperator):
         return self._fro
 
 
-@dataclass
+@dataclass(frozen=True)
 class CsrMatrix:
-    """Compressed sparse rows with sorted, unique column indices per row."""
+    """Compressed sparse rows with sorted, unique column indices per row.
+
+    ``matvec`` applies a scipy ``csr_array`` that shares the three arrays,
+    so the fields are frozen to keep it in step with them.
+    """
 
     nrows: int
     ncols: int
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+
+    def __post_init__(self):
+        sparse = scipy.sparse.csr_array(
+            (self.data, self.indices, self.indptr), shape=(self.nrows, self.ncols)
+        )
+        object.__setattr__(self, "_sparse", sparse)
 
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, vals):
@@ -128,12 +139,7 @@ class CsrMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
             raise DimensionError(f"operand of length {self.ncols} expected")
-        prod = self.data * x[self.indices]
-        y = np.zeros(self.nrows)
-        nonempty = np.diff(self.indptr) > 0
-        if prod.size:
-            y[nonempty] = np.add.reduceat(prod, self.indptr[:-1][nonempty])
-        return y
+        return self._sparse @ x
 
     def transpose(self):
         rows = np.repeat(np.arange(self.nrows), np.diff(self.indptr))
@@ -142,10 +148,7 @@ class CsrMatrix:
         )
 
     def to_dense(self):
-        out = np.zeros((self.nrows, self.ncols))
-        rows = np.repeat(np.arange(self.nrows), np.diff(self.indptr))
-        out[rows, self.indices] = self.data
-        return out
+        return self._sparse.toarray()
 
     def frobenius_norm(self):
         return float(np.linalg.norm(self.data))

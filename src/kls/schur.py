@@ -1,15 +1,16 @@
-"""Real Schur decomposition of Hessenberg matrices.
+"""Real Schur decomposition of small dense matrices, through LAPACK.
 
-Francis implicit double-shift QR with deflation and an ad-hoc exceptional
-shift every 10 stalled sweeps, plus the small-matrix services Krylov-Schur
-needs on top of it: Hessenberg reduction of a dense matrix, reordering of
-diagonal blocks by adjacent swaps, and eigenvector extraction from the
-quasi-triangular factor by block back-substitution.
+The services Krylov-Schur needs: Hessenberg reduction (``dgehrd``), the
+real Schur form of a Hessenberg matrix (``dgees``), stable reordering of
+diagonal blocks (``dtrsen``, the Bai-Demmel block swaps) and eigenvectors
+from the quasi-triangular factor.
 """
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import dtrsen
 
-from .errors import DimensionError, IterationLimitError
+from .errors import DimensionError, IterationLimitError, NonFiniteError
 
 _EPS = np.finfo(np.float64).eps
 
@@ -35,7 +36,14 @@ class SchurForm:
 
     def eigenvalues(self):
         """Complex eigenvalues in diagonal-block order."""
-        return _block_eigenvalues(self.t)
+        vals = []
+        t = self.t
+        for start, size in _blocks(t):
+            if size == 1:
+                vals.append(complex(t[start, start]))
+            else:
+                vals.extend(_eig_2x2(t[start : start + 2, start : start + 2]))
+        return np.array(vals, dtype=complex)
 
 
 def _blocks(t):
@@ -43,404 +51,66 @@ def _blocks(t):
     out = []
     i = 0
     while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            out.append((i, 2))
-            i += 2
-        else:
-            out.append((i, 1))
-            i += 1
+        size = 2 if i + 1 < n and t[i + 1, i] != 0.0 else 1
+        out.append((i, size))
+        i += size
     return out
 
 
-def _eig_2x2(a, b, c, d):
-    """Eigenvalues of [[a, b], [c, d]] as a complex pair or two reals."""
+def _eig_2x2(blk):
+    """Eigenvalues of a 2x2 block as a complex pair or two reals."""
+    (a, b), (c, d) = blk
     p = 0.5 * (a - d)
     disc = p * p + b * c
     mean = 0.5 * (a + d)
-    if disc >= 0.0:
-        sq = np.sqrt(disc)
-        return np.array([mean + sq, mean - sq], dtype=complex)
-    sq = np.sqrt(-disc)
-    return np.array([mean + 1j * sq, mean - 1j * sq])
+    sq = np.sqrt(complex(disc))
+    return [mean + sq, mean - sq]
 
 
-def _block_eigenvalues(t):
-    vals = []
-    for start, size in _blocks(t):
-        if size == 1:
-            vals.append(complex(t[start, start]))
-        else:
-            vals.extend(
-                _eig_2x2(
-                    t[start, start],
-                    t[start, start + 1],
-                    t[start + 1, start],
-                    t[start + 1, start + 1],
-                )
-            )
-    return np.array(vals, dtype=complex)
+def _square(a):
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"square matrix expected, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError("matrix holds NaN or infinity")
+    return a
 
 
 def hessenberg_reduce(A):
     """Orthogonal reduction A = U H U^T with H upper Hessenberg."""
-    H = np.array(A, dtype=np.float64)
-    n = H.shape[0]
-    if H.ndim != 2 or H.shape[1] != n:
-        raise DimensionError(f"square matrix expected, got {H.shape}")
-    U = np.eye(n)
-    for j in range(n - 2):
-        x = H[j + 1 :, j]
-        sigma = float(np.dot(x[1:], x[1:]))
-        if sigma == 0.0 and x[0] >= 0.0:
-            continue
-        v = x.copy()
-        if sigma == 0.0:
-            v[0] = 1.0
-            beta = 2.0
-        else:
-            mu = np.sqrt(x[0] * x[0] + sigma)
-            v0 = x[0] - mu if x[0] <= 0.0 else -sigma / (x[0] + mu)
-            beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
-            v = x / v0
-            v[0] = 1.0
-        # two-sided application and accumulation
-        w = beta * (v @ H[j + 1 :, :])
-        H[j + 1 :, :] -= np.outer(v, w)
-        w = beta * (H[:, j + 1 :] @ v)
-        H[:, j + 1 :] -= np.outer(w, v)
-        w = beta * (U[:, j + 1 :] @ v)
-        U[:, j + 1 :] -= np.outer(w, v)
-        H[j + 2 :, j] = 0.0
-    return H, U
+    return scipy.linalg.hessenberg(_square(A), calc_q=True, check_finite=False)
 
 
-def _apply_reflector_left(H, v, beta, rows, col0):
-    blk = H[rows, col0:]
-    w = beta * (v @ blk)
-    blk -= np.outer(v, w)
-
-
-def _apply_reflector_right(H, v, beta, row1, cols):
-    blk = H[:row1, cols]
-    w = beta * (blk @ v)
-    blk -= np.outer(w, v)
-
-
-def _small_reflector(x):
-    """Reflector for a 2- or 3-vector, (v, beta) with v[0] = 1."""
-    alpha = np.linalg.norm(x)
-    if alpha == 0.0:
-        return np.zeros_like(x), 0.0
-    if x[0] > 0.0:
-        alpha = -alpha
-    v = x.copy()
-    v[0] -= alpha
-    vsq = float(np.dot(v, v))
-    if vsq == 0.0:
-        return np.zeros_like(x), 0.0
-    beta = 2.0 / vsq
-    scale = v[0]
-    v = v / scale
-    beta *= scale * scale
-    return v, beta
-
-
-def _split_2x2(T, Z, i):
-    """Triangularize the block at i if its eigenvalues are real."""
-    a, b = T[i, i], T[i, i + 1]
-    c, d = T[i + 1, i], T[i + 1, i + 1]
-    if c == 0.0:
-        return
-    p = 0.5 * (a - d)
-    disc = p * p + b * c
-    if disc < 0.0:
-        return  # genuine complex pair, keep the 2x2 block
-    sq = np.sqrt(disc)
-    mean = 0.5 * (a + d)
-    lam = mean + sq if p >= 0.0 else mean - sq  # larger-|z| root first
-    # eigenvector of the block for lam; pick the better-scaled expression
-    v1 = np.array([b, lam - a])
-    v2 = np.array([lam - d, c])
-    v = v1 if np.abs(v1).sum() >= np.abs(v2).sum() else v2
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        return
-    cs, sn = v[0] / nrm, v[1] / nrm
-    G = np.array([[cs, -sn], [sn, cs]])
-    T[i : i + 2, i:] = G.T @ T[i : i + 2, i:]
-    T[: i + 2, i : i + 2] = T[: i + 2, i : i + 2] @ G
-    Z[:, i : i + 2] = Z[:, i : i + 2] @ G
-    T[i + 1, i] = 0.0
-
-
-def _francis(T, Z, max_sweeps):
-    n = T.shape[0]
-    hi = n - 1
-    sweeps = 0
-    stall = 0
-    while hi > 0:
-        # deflate negligible subdiagonals
-        lo = hi
-        while lo > 0:
-            s = abs(T[lo - 1, lo - 1]) + abs(T[lo, lo])
-            if s == 0.0:
-                s = np.linalg.norm(T, ord=np.inf)
-            if abs(T[lo, lo - 1]) <= _EPS * s:
-                T[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            hi -= 1  # 1x1 converged
-            stall = 0
-            continue
-        if lo == hi - 1:
-            _split_2x2(T, Z, lo)  # 2x2 converged
-            hi -= 2
-            stall = 0
-            continue
-        sweeps += 1
-        stall += 1
-        if sweeps > max_sweeps:
-            raise IterationLimitError(
-                f"Schur iteration did not converge within {max_sweeps} sweeps"
-            )
-        # shifts: eigenvalues of the trailing 2x2, exceptional every 10 stalls
-        if stall % 10 == 0:
-            w = abs(T[hi, hi - 1]) + abs(T[hi - 1, hi - 2])
-            rt1r = rt2r = 0.75 * w + T[hi, hi]
-            rt1i = rt2i = 0.0
-        else:
-            a = T[hi - 1, hi - 1]
-            b = T[hi - 1, hi]
-            c = T[hi, hi - 1]
-            d = T[hi, hi]
-            sc = abs(a) + abs(b) + abs(c) + abs(d)
-            if sc == 0.0:
-                rt1r = rt2r = rt1i = rt2i = 0.0
-            else:
-                p = 0.5 * (a / sc - d / sc)
-                disc = p * p + (b / sc) * (c / sc)
-                mean = 0.5 * (a / sc + d / sc)
-                if disc >= 0.0:
-                    # real pair: double Wilkinson shift, the root nearer d
-                    sq = np.sqrt(disc)
-                    r1, r2 = mean + sq, mean - sq
-                    pick = r1 if abs(r1 - d / sc) <= abs(r2 - d / sc) else r2
-                    rt1r = rt2r = pick * sc
-                    rt1i = rt2i = 0.0
-                else:
-                    rt1r = rt2r = mean * sc
-                    rt1i = np.sqrt(-disc) * sc
-                    rt2i = -rt1i
-        # first column of (T - rt1)(T - rt2) e1 in the scaled difference form,
-        # which stays accurate when a shift nearly equals a clustered entry
-        h11 = T[lo, lo]
-        h12 = T[lo, lo + 1]
-        h21 = T[lo + 1, lo]
-        h22 = T[lo + 1, lo + 1]
-        sc = abs(h11 - rt2r) + abs(rt2i) + abs(h21)
-        if sc == 0.0:
-            sc = 1.0
-        h21s = h21 / sc
-        x = h21s * h12 + (h11 - rt1r) * ((h11 - rt2r) / sc) - rt1i * (rt2i / sc)
-        y = h21s * (h11 + h22 - rt1r - rt2r)
-        z = h21s * T[lo + 2, lo + 1]
-        col = np.array([x, y, z])
-        for k in range(lo, hi - 1):
-            v, beta = _small_reflector(col)
-            if beta != 0.0:
-                col0 = max(lo, k - 1)
-                rows = slice(k, k + 3)
-                _apply_reflector_left(T, v, beta, rows, col0)
-                _apply_reflector_right(T, v, beta, min(hi, k + 3) + 1, rows)
-                blk = Z[:, rows]
-                w = beta * (blk @ v)
-                blk -= np.outer(w, v)
-            if k > lo:
-                T[k + 1, k - 1] = 0.0
-                T[min(k + 2, hi), k - 1] = 0.0
-            col = T[k + 1 : k + 4, k].copy()
-            if k + 3 > hi:
-                col = col[:2]
-        # final 2-element reflector
-        v, beta = _small_reflector(col)
-        if beta != 0.0:
-            k = hi - 1
-            rows = slice(k, k + 2)
-            _apply_reflector_left(T, v, beta, rows, k - 1)
-            _apply_reflector_right(T, v, beta, hi + 1, rows)
-            blk = Z[:, rows]
-            w = beta * (blk @ v)
-            blk -= np.outer(w, v)
-            T[hi, hi - 2] = 0.0
-
-
-def hessenberg_real_schur(H, sort_key=None, max_sweep_factor=30):
-    """Real Schur form of an upper Hessenberg matrix.
-
-    When ``sort_key`` is given (a function of a complex eigenvalue), the
-    diagonal blocks are reordered so their eigenvalues appear in ascending
-    key order; conjugate pairs always move as one block.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    n = H.shape[0]
-    if H.ndim != 2 or H.shape[1] != n:
-        raise DimensionError(f"square matrix expected, got {H.shape}")
-    if n > 1 and np.any(np.tril(H, -2) != 0.0):
+def hessenberg_real_schur(H):
+    """Real Schur form of an upper Hessenberg matrix."""
+    H = _square(H)
+    if np.any(np.tril(H, -2) != 0.0):
         raise DimensionError("input is not upper Hessenberg")
-    T = H.copy()
-    Z = np.eye(n)
-    if n > 2:
-        _francis(T, Z, max_sweeps=max_sweep_factor * n)
-    # triangularize any remaining real-eigenvalue 2x2 blocks
-    for start, size in _blocks(T):
-        if size == 2:
-            _split_2x2(T, Z, start)
-    form = SchurForm(T, Z)
-    if sort_key is not None:
-        sort_schur(form, sort_key)
-    return form
-
-
-def swap_adjacent_blocks(T, Z, i, p, q):
-    """Swap the adjacent diagonal blocks at i (sizes p, then q).
-
-    Returns False (leaving T untouched) if the swap would be numerically
-    unstable, which only happens for nearly equal eigenvalue clusters where
-    the ordering is immaterial anyway.
-    """
-    n = T.shape[0]
-    a11 = T[i : i + p, i : i + p].copy()
-    a12 = T[i : i + p, i + p : i + p + q].copy()
-    a22 = T[i + p : i + p + q, i + p : i + p + q].copy()
-    # Sylvester system A11 X - X A22 = A12 via its Kronecker form
-    K = np.kron(np.eye(q), a11) - np.kron(a22.T, np.eye(p))
     try:
-        x = np.linalg.solve(K, a12.reshape(-1, order="F"))
-    except np.linalg.LinAlgError:
-        return False
-    X = x.reshape((p, q), order="F")
-    stack = np.vstack([-X, np.eye(q)])
-    Qf, _ = np.linalg.qr(stack, mode="complete")
-    sl = slice(i, i + p + q)
-    Tblk = Qf.T @ T[sl, sl] @ Qf
-    # the (2,1) block must vanish for the swap to be valid
-    resid = np.linalg.norm(Tblk[q:, :q])
-    scale = max(np.linalg.norm(T[sl, sl]), 1.0)
-    if resid > 1e-8 * scale:
-        return False
-    T[sl, i:] = Qf.T @ T[sl, i:]
-    T[: i + p + q, sl] = T[: i + p + q, sl] @ Qf
-    Z[:, sl] = Z[:, sl] @ Qf
-    T[i + q : i + p + q, i : i + q] = 0.0
-    if q == 2:
-        _split_2x2(T, Z, i)
-    if p == 2:
-        _split_2x2(T, Z, i + q)
-    return True
-
-
-def sort_schur(form, key):
-    """Reorder diagonal blocks by ascending ``key`` of their eigenvalue.
-
-    Stable selection sort realized with adjacent block swaps.
-    """
-    T, Z = form.t, form.z
-
-    def block_key(start, size):
-        lam = (
-            complex(T[start, start])
-            if size == 1
-            else _eig_2x2(
-                T[start, start],
-                T[start, start + 1],
-                T[start + 1, start],
-                T[start + 1, start + 1],
-            )[0]
-        )
-        return key(lam)
-
-    pos = 0
-    while pos < form.order:
-        blocks = [(s, z) for (s, z) in _blocks(T) if s >= pos]
-        if not blocks:
-            break
-        best = min(range(len(blocks)), key=lambda b: block_key(*blocks[b]))
-        # bubble the chosen block to the front of the unsorted region
-        for b in range(best, 0, -1):
-            s_prev, z_prev = blocks[b - 1]
-            s_cur, z_cur = blocks[b]
-            if swap_adjacent_blocks(T, Z, s_prev, z_prev, z_cur):
-                blocks[b - 1] = (s_prev, z_cur)
-                blocks[b] = (s_prev + z_cur, z_prev)
-            else:
-                break
-        pos += blocks[0][1] if blocks[0][0] == pos else 1
+        t, z = scipy.linalg.schur(H, output="real", check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise IterationLimitError(f"Schur iteration did not converge: {err}") from err
+    return SchurForm(t, z)
 
 
 def move_blocks_front(form, selected):
     """Stably move the blocks flagged in ``selected`` to the leading corner.
 
-    ``selected`` is one flag per diagonal block (in diagonal order).
-    Returns the total size of the moved group.
+    ``selected`` is one flag per diagonal block (in diagonal order); the
+    selected blocks and the others each keep their relative order.
+    Returns the total size of the moved group, or 0 when LAPACK finds two
+    blocks too close to swap: T and Z then stay a valid, partially
+    reordered Schur decomposition.
     """
-    T, Z = form.t, form.z
-    blocks = _blocks(T)
+    blocks = form.blocks()
     if len(selected) != len(blocks):
         raise DimensionError("one selection flag per diagonal block required")
-    flags = list(selected)
-    target = 0
-    moved = 0
-    for b in range(len(blocks)):
-        if not flags[b]:
-            continue
-        cur = b
-        while cur > target:
-            s_prev, z_prev = blocks[cur - 1]
-            s_cur, z_cur = blocks[cur]
-            if not swap_adjacent_blocks(T, Z, s_prev, z_prev, z_cur):
-                break
-            blocks[cur - 1] = (s_prev, z_cur)
-            blocks[cur] = (s_prev + z_cur, z_prev)
-            flags[cur - 1], flags[cur] = flags[cur], flags[cur - 1]
-            cur -= 1
-        if cur == target:
-            moved += blocks[target][1]
-            target += 1
-    return moved
-
-
-def _solve_shifted_quasi_tri(T, lam, rhs):
-    """Solve (T - lam I) x = rhs by block back-substitution.
-
-    T is quasi upper triangular (real), lam and rhs may be complex.  Near
-    singular diagonal blocks are perturbed at the eps * ||T|| level, the
-    standard safeguard when lam is itself an eigenvalue of T.
-    """
-    n = T.shape[0]
-    x = np.zeros(n, dtype=complex)
-    if n == 0:
-        return x
-    smin = _EPS * max(np.linalg.norm(T, ord=np.inf), abs(lam), 1.0)
-    blocks = _blocks(T)
-    for start, size in reversed(blocks):
-        end = start + size
-        r = rhs[start:end] - T[start:end, end:] @ x[end:]
-        if size == 1:
-            piv = T[start, start] - lam
-            if abs(piv) < smin:
-                piv = smin
-            x[start] = r[0] / piv
-        else:
-            blk = T[start:end, start:end].astype(complex)
-            blk[0, 0] -= lam
-            blk[1, 1] -= lam
-            det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-            if abs(det) < smin * smin:
-                det = smin * smin
-            x[start] = (blk[1, 1] * r[0] - blk[0, 1] * r[1]) / det
-            x[start + 1] = (blk[0, 0] * r[1] - blk[1, 0] * r[0]) / det
-    return x
+    if not blocks:
+        return 0
+    flags = np.repeat(np.asarray(selected, dtype=np.int32), [size for _, size in blocks])
+    t, z, _, _, moved, _, _, info = dtrsen(flags, form.t, form.z, job="N")
+    form.t, form.z = t, z
+    return int(moved) if info == 0 else 0
 
 
 def schur_eigenvectors(form, indices=None):
@@ -450,38 +120,28 @@ def schur_eigenvectors(form, indices=None):
     Z T Z^T for values[i].  ``indices`` selects diagonal blocks (default
     all); a 2x2 block contributes its eigenvalue with positive imaginary
     part (the conjugate vector is the conjugate eigenvector).
+
+    The vectors come from one back-substitution on the complex triangular
+    form; a near-singular pivot T_ii - T_jj (a repeated eigenvalue) is
+    raised to eps * max(||T||, |lambda|, 1), the standard safeguard.
     """
-    T, Z = form.t, form.z
-    blocks = _blocks(T)
+    blocks = form.blocks()
+    n = form.order
     if indices is None:
         indices = range(len(blocks))
-    vals = []
-    vecs = []
-    for b in indices:
-        start, size = blocks[b]
-        if size == 1:
-            lam = complex(T[start, start])
-            v_local = np.array([1.0 + 0.0j])
-        else:
-            pair = _eig_2x2(
-                T[start, start],
-                T[start, start + 1],
-                T[start + 1, start],
-                T[start + 1, start + 1],
-            )
-            lam = pair[0] if pair[0].imag >= 0 else pair[1]
-            blk = T[start : start + 2, start : start + 2]
-            cand1 = np.array([blk[0, 1], lam - blk[0, 0]])
-            cand2 = np.array([lam - blk[1, 1], blk[1, 0]])
-            v_local = cand1 if np.abs(cand1).sum() >= np.abs(cand2).sum() else cand2
-        rhs = np.zeros(start, dtype=complex)
-        if start:
-            rhs = -(T[:start, start : start + size] @ v_local)
-        head = _solve_shifted_quasi_tri(T[:start, :start], lam, rhs)
-        y = np.zeros(T.shape[0], dtype=complex)
-        y[:start] = head
-        y[start : start + size] = v_local
-        y /= np.linalg.norm(y)
-        vals.append(lam)
-        vecs.append(Z @ y)
-    return np.array(vals), np.array(vecs).T if vecs else np.zeros((T.shape[0], 0))
+    tc, zc = scipy.linalg.rsf2csf(form.t, form.z)
+    lam = np.diag(tc)
+    smin = _EPS * np.maximum(max(np.linalg.norm(form.t, ord=np.inf), 1.0), np.abs(lam))
+    # x[:, j] solves (T - lam_j I) x = 0 with x_j = 1, rows bottom up
+    x = np.eye(n, dtype=complex)
+    for i in range(n - 2, -1, -1):
+        piv = tc[i, i] - lam[i + 1 :]
+        small = np.abs(piv) < smin[i + 1 :]
+        piv[small] = smin[i + 1 :][small]
+        x[i, i + 1 :] = -(tc[i, i + 1 :] @ x[i + 1 :, i + 1 :]) / piv
+    cols = [
+        start if size == 1 or lam[start].imag > 0 else start + 1
+        for start, size in (blocks[b] for b in indices)
+    ]
+    y = zc @ x[:, cols]
+    return lam[cols], y / np.linalg.norm(y, axis=0)

@@ -270,5 +270,8 @@ def test_criterion_10_eigen_count_ordering():
         runs = " ".join(
             "/".join(str(counts[(s, r, seed)]) for s in schemes) for seed in seeds
         )
-        detail.append(f"r{r} seeds {runs}, median cgs2={c2} dcgs2={dc} mgs={mg} cgs={cg}")
+        detail.append(
+            f"r{r} cgs2/dcgs2/mgs/cgs at seeds {seeds}: {runs}, "
+            f"median cgs2={c2} dcgs2={dc} mgs={mg} cgs={cg}"
+        )
     verdict(10, ok, "; ".join(detail))

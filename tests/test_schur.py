@@ -2,17 +2,20 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kls.errors import DimensionError
+from kls.dense import random_orthogonal
+from kls.errors import DimensionError, NonFiniteError
 from kls.schur import (
     SchurForm,
     hessenberg_real_schur,
     hessenberg_reduce,
     move_blocks_front,
     schur_eigenvectors,
-    sort_schur,
-    swap_adjacent_blocks,
 )
+
+EPS = np.finfo(np.float64).eps
 
 
 def random_hessenberg(n, gen):
@@ -106,12 +109,21 @@ def test_non_hessenberg_rejected(rng):
 
 
 def test_sorted_by_magnitude(rng):
+    # selection sort by repeated stable moves: the k largest blocks lead,
+    # the k-1 already sorted ones keep their order, the k-th follows them
     h = random_hessenberg(20, rng)
-    form = hessenberg_real_schur(h, sort_key=lambda lam: -abs(lam))
+    form = hessenberg_real_schur(h)
+    before = form.eigenvalues()
+    nblocks = len(form.blocks())
+    for k in range(1, nblocks + 1):
+        mags = [abs(form.eigenvalues()[start]) for start, _ in form.blocks()]
+        top = np.argsort(mags)[::-1][:k]
+        want = sum(form.blocks()[b][1] for b in top)
+        assert move_blocks_front(form, [b in top for b in range(nblocks)]) == want
     check_form(h, form)
-    mags = np.abs(form.eigenvalues())
-    blocks = form.blocks()
-    block_mags = [abs(form.eigenvalues()[sum(b[1] for b in blocks[:i])]) for i in range(len(blocks))]
+    after = form.eigenvalues()
+    assert np.allclose(np.sort_complex(after), np.sort_complex(before), atol=1e-10)
+    block_mags = [abs(after[start]) for start, _ in form.blocks()]
     assert all(
         block_mags[i] >= block_mags[i + 1] - 1e-9 for i in range(len(block_mags) - 1)
     )
@@ -122,13 +134,18 @@ def test_swap_adjacent_1x1(rng):
     form = hessenberg_real_schur(h)
     before = form.eigenvalues()
     blocks = form.blocks()
-    if blocks[0][1] == 1 and blocks[1][1] == 1:
-        assert swap_adjacent_blocks(form.t, form.z, 0, 1, 1)
-        check_form(h, form)
-        after = form.eigenvalues()
-        assert np.allclose(
-            np.sort_complex(after), np.sort_complex(before), atol=1e-10
-        )
+    b = next(
+        i for i in range(len(blocks) - 1) if blocks[i][1] == blocks[i + 1][1] == 1
+    )
+    start = blocks[b][0]
+    sel = [i < b or i == b + 1 for i in range(len(blocks))]
+    assert move_blocks_front(form, sel) == start + 1
+    check_form(h, form)
+    after = form.eigenvalues()
+    assert np.allclose(np.sort_complex(after), np.sort_complex(before), atol=1e-10)
+    assert np.allclose(after[:start], before[:start], atol=1e-10)
+    assert after[start] == pytest.approx(before[start + 1], abs=1e-10)
+    assert after[start + 1] == pytest.approx(before[start], abs=1e-10)
 
 
 def test_move_blocks_front(rng):
@@ -187,3 +204,95 @@ def test_clustered_spectrum_converges(rng):
         ev1 = np.sort(form.eigenvalues().real)
         ev2 = np.sort(np.linalg.eigvals(a).real)
         assert np.max(np.abs(ev1 - ev2)) <= 1e-8
+
+
+def test_failed_swap_leaves_valid_form():
+    # equal eigenvalues +-i in two differently shaped blocks with a tiny
+    # coupling: LAPACK refuses the swap as inaccurate
+    t = np.zeros((4, 4))
+    t[:2, :2] = [[0.0, 1e3], [-1e-3, 0.0]]
+    t[2:, 2:] = [[0.0, 1.0], [-1.0, 0.0]]
+    t[0, 2] = 1e-7
+    form = SchurForm(t.copy(), np.eye(4))
+    assert move_blocks_front(form, [False, True]) == 0
+    check_form(t, form)
+    assert np.allclose(form.eigenvalues(), [1j, -1j, 1j, -1j])
+
+
+def test_non_finite_input_raises():
+    h = np.triu(np.ones((5, 5)), -1)
+    h[1, 3] = np.nan
+    with pytest.raises(NonFiniteError):
+        hessenberg_real_schur(h)
+    with pytest.raises(NonFiniteError):
+        hessenberg_reduce(h)
+
+
+@st.composite
+def hessenberg_cases(draw):
+    """Upper Hessenberg matrices of order 0-60: random, clustered or
+    repeated eigenvalues, a Jordan block, the zero matrix, and pure
+    rotation pairs (the last three hidden by an orthogonal similarity)."""
+    n = draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(["random", "clustered", "jordan", "zero", "rotations"]))
+    gen = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    if kind == "random":
+        return np.triu(gen.standard_normal((n, n)), -1)
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "clustered":
+        a = np.diag(np.resize(np.repeat(gen.standard_normal(n // 3 + 1), 3), n))
+        a += draw(st.sampled_from([0.0, 1e-10])) * gen.standard_normal((n, n))
+    elif kind == "jordan":
+        a = 2.0 * np.eye(n) + np.eye(n, k=1)
+    else:
+        a = np.zeros((n, n))
+        angles = gen.choice([0.3, 1.0, 2.5], size=n // 2)
+        for i, phi in enumerate(angles):
+            c, s = np.cos(phi), np.sin(phi)
+            a[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[c, -s], [s, c]]
+        if n % 2:
+            a[-1, -1] = 1.0
+    q = random_orthogonal(n, n, seed=int(gen.integers(2**31)))
+    return hessenberg_reduce(q @ a @ q.T)[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(h=hessenberg_cases(), data=st.data())
+def test_schur_layer_properties(h, data):
+    n = h.shape[0]
+    hnorm = np.linalg.norm(h)
+    form = hessenberg_real_schur(h)
+    check_form(h, form)
+    spectrum = form.eigenvalues()
+
+    # eigenvectors of every block: backward-stable residuals
+    vals, vecs = schur_eigenvectors(form)
+    assert len(vals) == len(form.blocks()) and np.all(vals.imag >= 0.0)
+    for lam, y in zip(vals, vecs.T):
+        assert np.linalg.norm(h @ y - lam * y) <= 10 * max(n, 1) * EPS * hnorm
+
+    # stable reordering: the selected blocks lead in their old order, and
+    # pairs stay together
+    blocks = form.blocks()
+    sel = data.draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    want = [spectrum[start + i] for (start, size), s in zip(blocks, sel) if s for i in range(size)]
+    moved = move_blocks_front(form, sel)
+    check_form(h, form)
+    assert moved in (0, len(want))
+    if moved:
+        assert moved == n or form.t[moved, moved - 1] == 0.0
+        lead = SchurForm(form.t[:moved, :moved], np.eye(moved)).eigenvalues()
+        # a swap perturbs each eigenvalue by its condition number times a
+        # backward error of order n eps ||H||
+        exact, cond = _eigenvalue_conditions(h)
+        for w, got in zip(want, lead):
+            near = np.argmin(np.abs(exact - w))
+            assert abs(got - w) <= 100 * max(n, 1) * EPS * hnorm * cond[near]
+
+
+def _eigenvalue_conditions(h):
+    """Eigenvalues of h and their condition numbers 1/|y^H x|."""
+    w, vl, vr = scipy.linalg.eig(h, left=True, right=True)
+    overlap = np.abs(np.sum(vl.conj() * vr, axis=0))
+    return w, 1.0 / np.maximum(overlap, np.finfo(float).tiny)
