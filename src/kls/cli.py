@@ -97,9 +97,16 @@ def _cmd_qr_stability(args):
     kappas = _parse_list(args.kappa_list)
     schemes = args.scheme or SCHEME_IDS
 
+    def build(kappa):
+        a = synthetic_kappa(args.rows, args.cols, kappa, seed)
+        a.flags.writeable = False  # one matrix per kappa, shared by every scheme
+        return a
+
+    matrices = dict(zip(kappas, _run_points(kappas, build, args.jobs)))
+
     def worker(point):
         scheme, kappa = point
-        a = synthetic_kappa(args.rows, args.cols, kappa, seed)
+        a = matrices[kappa]
         led = SyncLedger()
         try:
             q, r = qr_factorize(a, scheme, ledger=led)

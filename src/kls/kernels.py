@@ -109,5 +109,8 @@ def mv_times_mat_add_mv(Y, B, S, sign=1.0, scale=1.0, ledger=None):
     if scale != 1.0:
         Y *= scale
     if B.shape[1]:
-        Y += sign * (B @ S)
+        if sign == -1.0:
+            Y -= B @ S  # the bits of Y + (-(B @ S)), one temporary fewer
+        else:
+            Y += sign * (B @ S)
     return Y

@@ -8,6 +8,11 @@ what lets them fuse all synchronizing work of a column into a single
 reduction.  The pending column lives in the next free column of the basis
 storage, so the fused left operand [Q, w] is a view.
 
+A push copies its column once, into the column's home in the column-major
+basis storage, and every scheme builds and divides the basis vector there,
+whatever the layout of the pushed column.  ``finalize`` returns views of
+that storage, which is append-only.
+
 These states are the only implementation of each scheme: the Arnoldi
 expansion in ``arnoldi`` pushes operator images into them.
 
@@ -58,7 +63,9 @@ class QrState:
 
     ``ncols`` counts finalized orthonormal columns; the delayed subclasses
     additionally hold one pending column.  Column storage is column-major so
-    the left-looking panels are contiguous.
+    the left-looking panels are contiguous.  Column ``npushed`` is the home
+    of the next pushed column: ``_take`` copies the column there, and the
+    basis vector it becomes is built in place.
     """
 
     scheme_id = None
@@ -93,13 +100,24 @@ class QrState:
         return self._r[: self.npushed, : self.npushed]
 
     def _take(self, a):
+        """Copy a pushed column into its home, column ``npushed``; returns
+        the home and the column's norm.
+
+        The norm is the breakdown guard's scale.  Any NaN or infinity makes
+        it non-finite, so the elementwise scan runs only then (a finite
+        column whose norm overflows passes it).
+        """
         a = np.asarray(a, dtype=np.float64)
         if a.shape != (self.m,):
             raise DimensionError(f"column of length {self.m} expected, got {a.shape}")
-        check_finite(a, self.scheme_id, self.npushed)
         if self.npushed >= self.n_cap:
             raise DimensionError("state capacity exhausted")
-        return a
+        home = self._q[:, self.npushed]
+        home[:] = a
+        scale = float(np.linalg.norm(home))
+        if not np.isfinite(scale):
+            check_finite(home, self.scheme_id, self.npushed)
+        return home, scale
 
     def _guard(self, coeffs, alpha, scale):
         """Record the column's coefficients and norm; a column that vanished
@@ -127,9 +145,11 @@ class QrState:
             )
         return float(np.sqrt(alpha_sq))
 
-    def _emit(self, qcol, coeffs, alpha):
+    def _emit(self, coeffs, alpha):
+        """Normalize basis column ncols, built in place, by its norm alpha
+        and record its R column."""
         j = self.ncols
-        self._q[:, j] = qcol
+        self._q[:, j] /= alpha
         self._r[: len(coeffs), j] = coeffs
         self._r[j, j] = alpha
         self.last_coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -156,9 +176,14 @@ class QrState:
         """Emit the pending column, if any."""
 
     def finalize(self):
-        """Flush pending work and return (Q, R)."""
+        """Flush pending work and return (Q, R).
+
+        Both are views of the state's storage, not copies: Q is
+        column-major (F-contiguous).  The storage is append-only, so a
+        later ``push`` or ``adopt`` leaves the returned Q and R unchanged.
+        """
         self.flush()
-        return self.q.copy(), self.r.copy()
+        return self.q, self.r
 
 
 class CgsState(QrState):
@@ -167,16 +192,14 @@ class CgsState(QrState):
     scheme_id = "cgs"
 
     def push(self, a):
-        a = self._take(a)
-        scale = float(np.linalg.norm(a))  # local breakdown guard, not counted
+        u, scale = self._take(a)
         Q = self.q
-        s = mv_trans_mv(Q, a[:, None], ledger=self.ledger)[:, 0]
-        u = a.copy()[:, None]
-        mv_times_mat_add_mv(u, Q, s[:, None], sign=-1.0, ledger=self.ledger)
-        alpha = norm2(u[:, 0], ledger=self.ledger)
+        s = mv_trans_mv(Q, u[:, None], ledger=self.ledger)[:, 0]
+        mv_times_mat_add_mv(u[:, None], Q, s[:, None], sign=-1.0, ledger=self.ledger)
+        alpha = norm2(u, ledger=self.ledger)
         self._guard(s, alpha, scale)
         self.npushed += 1
-        self._emit(u[:, 0] / alpha, s, alpha)
+        self._emit(s, alpha)
 
 
 class Cgs2State(QrState):
@@ -185,18 +208,16 @@ class Cgs2State(QrState):
     scheme_id = "cgs2"
 
     def push(self, a):
-        a = self._take(a)
-        scale = float(np.linalg.norm(a))
-        Q = self.q
-        s = mv_trans_mv(Q, a[:, None], ledger=self.ledger)[:, 0]
-        w = a.copy()[:, None]
+        u, scale = self._take(a)
+        Q, w = self.q, u[:, None]
+        s = mv_trans_mv(Q, w, ledger=self.ledger)[:, 0]
         mv_times_mat_add_mv(w, Q, s[:, None], sign=-1.0, ledger=self.ledger)
         c = mv_trans_mv(Q, w, ledger=self.ledger)[:, 0]
         mv_times_mat_add_mv(w, Q, c[:, None], sign=-1.0, ledger=self.ledger)
-        alpha = norm2(w[:, 0], ledger=self.ledger)
+        alpha = norm2(u, ledger=self.ledger)
         self._guard(s + c, alpha, scale)
         self.npushed += 1
-        self._emit(w[:, 0] / alpha, s + c, alpha)
+        self._emit(s + c, alpha)
 
 
 class Cgs2LaggedState(QrState):
@@ -211,13 +232,11 @@ class Cgs2LaggedState(QrState):
     scheme_id = "cgs2-lagged"
 
     def push(self, a):
-        a = self._take(a)
-        scale = float(np.linalg.norm(a))
+        u, scale = self._take(a)
         j = self.ncols
         Q = self.q
-        s = mv_trans_mv(Q, a[:, None], ledger=self.ledger)[:, 0]
+        s = mv_trans_mv(Q, u[:, None], ledger=self.ledger)[:, 0]
         w = self._q[:, j : j + 1]  # [Q, w] is then a view
-        w[:, 0] = a
         mv_times_mat_add_mv(w, Q, s[:, None], sign=-1.0, ledger=self.ledger)
         fused = mv_trans_mv(_left_block(self._q, j), w, ledger=self.ledger)[:, 0]
         c, beta = fused[:j], fused[j]
@@ -225,7 +244,7 @@ class Cgs2LaggedState(QrState):
         alpha = self._pythagorean_norm(beta, c, self.npushed)
         mv_times_mat_add_mv(w, Q, c[:, None], sign=-1.0, ledger=self.ledger)
         self.npushed += 1
-        self._emit(w[:, 0] / alpha, s + c, alpha)
+        self._emit(s + c, alpha)
 
 
 class MgsState(QrState):
@@ -238,10 +257,8 @@ class MgsState(QrState):
     scheme_id = "mgs"
 
     def push(self, a):
-        a = self._take(a)
-        scale = float(np.linalg.norm(a))
+        u, scale = self._take(a)
         j = self.ncols
-        u = a.copy()
         s = np.zeros(j)
         for i in range(j):
             qi = self._q[:, i]
@@ -252,7 +269,7 @@ class MgsState(QrState):
         alpha = norm2(u, ledger=self.ledger)
         self._guard(s, alpha, scale)
         self.npushed += 1
-        self._emit(u / alpha, s, alpha)
+        self._emit(s, alpha)
 
 
 class _DelayedState(QrState):
@@ -280,10 +297,10 @@ class _DelayedState(QrState):
         # product differently per layout (see _left_block)
         self._wa = np.empty((m, 2))
 
-    def _stash(self, col, coeffs, scale, d=1.0):
-        """Hold col / d, projected by coeffs, as the pending column."""
+    def _stash(self, coeffs, scale, d=1.0):
+        """Hold the column at home, divided by d and projected by coeffs,
+        as the pending column."""
         j = self.ncols
-        self._q[:, j] = col
         if d != 1.0:
             self._q[:, j] /= d
         if j:
@@ -300,13 +317,13 @@ class _DelayedState(QrState):
         return s
 
     def push(self, a, pending_image=False):
-        a = self._take(a)
+        a, scale = self._take(a)  # home: column j, or j + 1 behind a pending one
         j = self.ncols  # pending column index
         if self.pending is None:
             s = np.zeros(0)
             if j:
                 s = self._project(mv_trans_mv(self.q, a[:, None], ledger=self.ledger)[:, 0])
-            self._stash(a, s, float(np.linalg.norm(a)))
+            self._stash(s, scale)
             return
         wa = self._wa
         wa[:, 0] = self._q[:, j]
@@ -316,12 +333,12 @@ class _DelayedState(QrState):
         alpha = self._emit_pending(c, float(g[j, 0]))
         d = alpha if pending_image else 1.0
         coeffs = self._incoming(c, s, float(g[j, 1]), alpha, d)
-        self._stash(a, coeffs, float(np.linalg.norm(a)) / d, d)
+        self._stash(coeffs, scale / d, d)
 
     def _emit_held(self, alpha):
         """Emit the pending column as held, divided by its norm alpha."""
         self._guard(self.pending, alpha, self._pscale)
-        self._emit(self._q[:, self.ncols] / alpha, self.pending, alpha)
+        self._emit(self.pending, alpha)
         return alpha
 
     def _emit_pending(self, c, beta):
@@ -411,7 +428,7 @@ class Dcgs2State(_DelayedState):
         alpha = self._pythagorean_norm(beta, c, j)
         w = self._q[:, j : j + 1]
         mv_times_mat_add_mv(w, self.q, c[:, None], sign=-1.0, ledger=self.ledger)
-        self._emit(w[:, 0] / alpha, coeffs, alpha)
+        self._emit(coeffs, alpha)
         self.vector_correction = c
         return alpha
 
@@ -491,7 +508,9 @@ def qr_factorize(A, scheme, ledger=None, **options):
     """Factorize a full matrix with the chosen scheme; returns (Q, R).
 
     ``householder`` is handled directly (it is not left-looking); all other
-    ids run the push interface column by column.
+    ids run the push interface column by column.  A push reads its column
+    of A once, into the basis storage, so every layout of A gives the same
+    bits; Q and R are the views ``QrState.finalize`` returns.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:

@@ -113,16 +113,17 @@ def test_eigenvector_start_immediate_breakdown():
 
 
 class _NanAt(DenseOperator):
-    """Dense operator whose image turns NaN at one application."""
+    """Dense operator with one non-finite image entry at one application."""
 
-    def __init__(self, a, at):
+    def __init__(self, a, at, value=np.nan):
         super().__init__(a)
         self.at = at
+        self.value = value
 
     def _matvec(self, x):
         y = super()._matvec(x)
         if self.napply == self.at:
-            y[1] = np.nan
+            y[1] = self.value
         return y
 
 
@@ -131,6 +132,16 @@ def test_non_finite_image_raises_typed_error(scheme, rng):
     # the delayed schemes consume the image of apply 4 at step 4, as the
     # immediate ones do, so every scheme names the same step
     op = _NanAt(rng.standard_normal((30, 30)), at=4)
+    with pytest.raises(NonFiniteError) as err:
+        arnoldi_expand(op, rng.standard_normal(30), scheme, steps=10)
+    assert err.value.scheme == scheme
+    assert err.value.step == 4
+
+
+@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_image_raises_typed_error(scheme, bad, rng):
+    op = _NanAt(rng.standard_normal((30, 30)), at=4, value=bad)
     with pytest.raises(NonFiniteError) as err:
         arnoldi_expand(op, rng.standard_normal(30), scheme, steps=10)
     assert err.value.scheme == scheme

@@ -21,3 +21,24 @@ def test_bitcheck_dump_matches_itself(tmp_path):
     out = str(tmp_path / "dump.pkl")
     _bitcheck("dump", ROOT, out)
     assert _bitcheck("compare", out, out).startswith("58 cases, 0 differ")
+
+
+def test_bitcheck_compare_lists_each_difference(tmp_path):
+    import pickle
+
+    import numpy as np
+
+    a = {("qr", "x"): ((np.zeros(3), 1), 4, 10, {"dot": 2}),
+         ("qr", "y"): ((np.ones(2),), 4, 10, {"dot": 2})}
+    b = {("qr", "x"): ((np.array([0.0, 0.5, -2.0]), 1), 4, 12, {"dot": 2}),
+         ("qr", "y"): ((np.ones(2),), 4, 10, {"dot": 2})}
+    paths = []
+    for name, case in (("a.pkl", a), ("b.pkl", b)):
+        paths.append(str(tmp_path / name))
+        with open(paths[-1], "wb") as f:
+            pickle.dump(case, f)
+    lines = _bitcheck("compare", *paths).splitlines()
+    assert lines[0].startswith("2 cases, 1 differ")
+    assert lines[1:] == [
+        "  ('qr', 'x'): max |diff| 2; reductions equal, flops differ, kernel counts equal"
+    ]

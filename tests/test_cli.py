@@ -5,6 +5,7 @@ import pytest
 
 from conftest import data_path
 from kls.cli import main
+from kls.problems import synthetic_kappa
 
 
 def run_csv(tmp_path, args, name="out.csv"):
@@ -229,3 +230,19 @@ def test_breakdown_row_reports_its_step(tmp_path, monkeypatch, command):
     assert code == 0
     rows = [r.split(",") for r in rows_of(text)[1:]]
     assert [(r[1], r[-1]) for r in rows] == [("5", "ok"), ("7", "breakdown-pythagorean")]
+
+
+def test_qr_stability_builds_each_matrix_once(tmp_path, monkeypatch):
+    # every scheme (8) and jobs thread shares the one matrix per kappa (7)
+    built = []
+
+    def counting(m, n, kappa, seed):
+        built.append(kappa)
+        return synthetic_kappa(m, n, kappa, seed)
+
+    monkeypatch.setattr("kls.cli.synthetic_kappa", counting)
+    code, text = run_csv(tmp_path, ["qr-stability", "--rows", "60", "--cols", "8",
+                                    "--jobs", "2"])
+    assert code == 0
+    assert len(rows_of(text)) == 1 + 8 * 7
+    assert sorted(built) == [1e0, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12]

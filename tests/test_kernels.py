@@ -191,6 +191,21 @@ def test_mv_times_records_no_reduction(rng):
     assert led.flops == 2 * 20 * 3
 
 
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("sign", [-1.0, 1.0, 0.5])
+def test_mv_times_bitwise_equals_out_of_place_update(rng, sign, order):
+    # sign -1 subtracts in place; every sign must give the bits of
+    # Y + sign * (B @ S), signed zeros included (row 0: -0 and a zero B row)
+    y0 = np.array(rng.standard_normal((300, 3)), order=order)
+    b = rng.standard_normal((300, 5))
+    y0[0], b[0] = -0.0, 0.0
+    s = rng.standard_normal((5, 3))
+    expected = y0 + sign * (b @ s)
+    got = y0.copy(order=order)
+    mv_times_mat_add_mv(got, b, s, sign=sign)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_mv_times_scale():
     y = np.full((3, 1), 2.0)
     mv_times_mat_add_mv(y, np.zeros((3, 0)), np.zeros((0, 1)), scale=0.5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kls.dense import householder_qr
-from kls.errors import BreakdownError, DimensionError, UnknownSchemeError
+from kls.errors import BreakdownError, DimensionError, NonFiniteError, UnknownSchemeError
 from kls.arnoldi import ARNOLDI_SCHEMES
 from kls.ledger import (
     _COSTS,
@@ -114,6 +114,67 @@ def test_capacity_and_shape_errors(rng):
         make_state("cgs", 3, 2).push(np.array([1.0, np.nan, 0.0]))
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("scheme", PUSH_SCHEMES)
+def test_qr_independent_of_input_layout(scheme, rng):
+    # a push copies its column into the basis before any arithmetic, so the
+    # input's strides cannot change the rounding
+    big = rng.standard_normal((400, 40))
+    strided = big[:, ::2]
+    runs = []
+    for a in (np.ascontiguousarray(strided), np.asfortranarray(strided), strided):
+        led = SyncLedger()
+        q, r = qr_factorize(a, scheme, ledger=led)
+        runs.append((_bits(q), _bits(r), led.reductions, led.flops, dict(led.kernel_counts)))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("scheme", PUSH_SCHEMES)
+def test_finalize_returns_append_only_views(scheme, rng):
+    a = rng.standard_normal((50, 6))
+    q, r = qr_factorize(a, scheme)
+    assert q.flags.f_contiguous and not q.flags.owndata
+    state = make_state(scheme, 50, 8)
+    for j in range(4):
+        state.push(a[:, j])
+    q, r = state.finalize()
+    assert q.flags.f_contiguous
+    assert np.shares_memory(q, state._q) and np.shares_memory(r, state._r)
+    q_bits, r_bits = _bits(q), _bits(r)
+    state.adopt(np.eye(50)[:, 0])
+    state.push(a[:, 5])
+    q2, r2 = state.finalize()
+    assert (_bits(q), _bits(r)) == (q_bits, r_bits)
+    assert _bits(q2[:, :4]) == q_bits and _bits(r2[:4, :4]) == r_bits
+
+
+@pytest.mark.parametrize("scheme", PUSH_SCHEMES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_single_non_finite_entry_raises(scheme, bad, rng):
+    a = rng.standard_normal((40, 5))
+    a[17, 3] = bad
+    with pytest.raises(NonFiniteError) as err:
+        qr_factorize(a, scheme)
+    assert err.value.scheme == scheme
+    assert err.value.step == 3
+
+
+@pytest.mark.parametrize("scheme", PUSH_SCHEMES)
+def test_overflowing_norm_is_a_breakdown(scheme, rng):
+    # every entry is finite, so this is no NonFiniteError: the column's norm
+    # overflows and the breakdown guard drops it as dependent
+    a = rng.standard_normal((40, 5))
+    a[:, 2] = 1e200
+    with pytest.raises(BreakdownError) as err, np.errstate(over="ignore"):
+        qr_factorize(a, scheme)
+    assert err.value.kind == "dependent"
+    assert err.value.column == 2
+
+
 # ---------------------------------------------------------------------------
 # scheme-specific behavior
 
@@ -166,7 +227,8 @@ def test_dcgs2_hand_worked_step():
     state = Dcgs2State(3, 3)
     state.adopt(np.array([0.0, 0.0, 1.0]))
     w = np.array([3.0, 4.0, 1.0])
-    state._stash(w, np.array([0.0]), float(np.linalg.norm(w)))
+    state._q[:, 1] = w  # the column's home: _stash holds it in place
+    state._stash(np.array([0.0]), float(np.linalg.norm(w)))
     state.push(np.array([1.0, 0.0, 0.0]))
     # beta = 26, c = 1, alpha = sqrt(25) = 5, q = (w - c*q0)/alpha
     assert state._r[1, 1] == pytest.approx(5.0, rel=1e-15)

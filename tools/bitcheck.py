@@ -9,8 +9,11 @@ on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 resumed from a Hessenberg and from a dense coupling row, GMRES(30) on
 Manteuffel k=20 and Krylov-Schur on Manteuffel k=10, for every scheme.
 Each case also records the ledger's reductions, flops and kernel counts.
-``compare`` prints ``N cases, D differ: [...]``; two outputs are the same
-only when every array is equal bit for bit.  Run ``dump`` once per
+``compare`` prints ``N cases, D differ: [...]``, then one line per
+differing case with the largest absolute difference over its arrays and
+numbers and whether its reductions, flops and
+kernel counts are equal.  Two outputs are the same only when every array is
+equal bit for bit.  Run ``dump`` once per
 checkout, in its own process.  Load only dumps this script wrote: unpickling
 runs code.
 """
@@ -98,6 +101,25 @@ def same(a, b):
     return a == b
 
 
+def max_diff(a, b):
+    """Largest absolute difference over the arrays and numbers of two case
+    outputs; inf where shapes, structure or NaNs differ."""
+    import numpy as np
+    if isinstance(a, (tuple, list)) or isinstance(b, (tuple, list)):
+        if type(a) is not type(b) or len(a) != len(b):
+            return float("inf")
+        return max((max_diff(x, y) for x, y in zip(a, b)), default=0.0)
+    numeric = (np.ndarray, np.number, int, float, complex)
+    if not (isinstance(a, numeric) and isinstance(b, numeric)):
+        return 0.0 if a == b else float("inf")
+    x, y = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if x.shape != y.shape:
+        return float("inf")
+    with np.errstate(invalid="ignore"):
+        d = np.where(x == y, 0.0, np.abs(x - y))
+    return float(np.nan_to_num(d, nan=np.inf).max(initial=0.0))
+
+
 def load(path):
     with open(path, "rb") as f:
         return pickle.load(f)
@@ -107,6 +129,14 @@ def compare(path_a, path_b):
     a, b = load(path_a), load(path_b)
     bad = [k for k in a.keys() | b.keys() if k not in a or k not in b or not same(a[k], b[k])]
     print(f"{len(a)} cases, {len(bad)} differ: {sorted(bad)}")
+    for k in sorted(bad):
+        if k not in a or k not in b:
+            print(f"  {k}: only in {path_a if k in a else path_b}")
+            continue
+        (res_a, *counts_a), (res_b, *counts_b) = a[k], b[k]
+        equal = ", ".join(f"{name} {'equal' if same(x, y) else 'differ'}" for name, x, y in
+                          zip(("reductions", "flops", "kernel counts"), counts_a, counts_b))
+        print(f"  {k}: max |diff| {max_diff(res_a, res_b):.3g}; {equal}")
 
 
 if __name__ == "__main__":
