@@ -88,12 +88,14 @@ class _BaseArnoldi:
         return self._step()
 
     def finalize(self):
-        """Flush pending work; returns (V, Hbar)."""
+        """Flush pending work; returns (V, Hbar).
+
+        Both are views of the expansion's storage, not copies: V is
+        column-major.  The storage is append-only, so a later ``step``
+        leaves the returned V and Hbar unchanged.
+        """
         self._flush()
-        return (
-            self._v[:, : self.nbasis].copy(),
-            self._h[: self.nbasis, : self.hcols].copy(),
-        )
+        return self.basis, self._h[: self.nbasis, : self.hcols]
 
     def _adopt(self, basis, hbar):
         """Continue from k+1 orthonormal columns and a (k+1)-by-k Hbar."""

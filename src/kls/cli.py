@@ -259,6 +259,9 @@ def _cmd_gmres(args):
             print("error: --laplace-dims needs nx,ny,nz", file=sys.stderr)
             raise SystemExit(2)
         op, problem = laplace3d(*dims), f"laplace3d:{dims}"
+    if args.be_stride < 0:
+        print("error: --be-stride must be >= 0", file=sys.stderr)
+        raise SystemExit(2)
     ones = np.ones(op.n)
     b = op.apply(ones)
     b = b / np.linalg.norm(b)
@@ -266,14 +269,17 @@ def _cmd_gmres(args):
 
     def worker(scheme):
         led = SyncLedger()
-        cfg = GmresConfig(max_iters=args.steps, restart=args.restart, scheme=scheme)
+        cfg = GmresConfig(max_iters=args.steps, restart=args.restart, scheme=scheme,
+                          be_stride=args.be_stride)
         res = gmres_solve(op, b, cfg, ledger=led)
+        # rows without a recorded backward error leave its cell empty
+        be = dict(zip(res.backward_error_iters.tolist(), res.backward_errors.tolist()))
         out = []
         for i in range(len(res.residual_history)):
             out.append(
                 ",".join(
                     [scheme, str(i + 1), _fmt(res.residual_history[i]),
-                     _fmt(res.backward_errors[i]),
+                     _fmt(be[i + 1]) if i + 1 in be else "",
                      str(int(res.reduction_history[i])),
                      "stagnated" if res.stagnated else "ok"]
                 )
@@ -289,7 +295,8 @@ def _cmd_gmres(args):
     _emit(
         args,
         [("schemes", "|".join(schemes)), ("problem", problem),
-         ("iters", args.steps), ("restart", args.restart), ("seed", seed)],
+         ("iters", args.steps), ("restart", args.restart),
+         ("be_stride", args.be_stride), ("seed", seed)],
         "scheme,iter,relres,backward_error,reductions,status",
         rows,
     )
@@ -410,6 +417,9 @@ def build_parser():
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--restart", type=int, default=0)
+    p.add_argument("--be-stride", type=int, default=0,
+                   help="also record the backward error every N iterations "
+                        "(0: only at the end of each restart cycle)")
     p.set_defaults(func=_cmd_gmres)
 
     p = sub.add_parser("sync-count", help="measured vs predicted reduction totals")

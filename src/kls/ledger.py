@@ -17,8 +17,6 @@ MV_DOT = "MvDot"
 KERNEL_CLASSES = (MV_TRANS_MV, MV_TIMES_MAT_ADD_MV, MV_DOT)
 REDUCING_CLASSES = frozenset({MV_TRANS_MV, MV_DOT})
 
-CSV_HEADER = "run_id,scheme,n,m,reductions,mvtransmv,mvdot,mvtimes,flops"
-
 
 @dataclass
 class SyncLedger:
@@ -28,7 +26,6 @@ class SyncLedger:
     be called between runs.
     """
 
-    processes: int = 1
     reductions: int = 0
     flops: int = 0
     kernel_counts: dict = field(
@@ -52,14 +49,6 @@ class SyncLedger:
         self.flops = 0
         for k in self.kernel_counts:
             self.kernel_counts[k] = 0
-
-    def csv_row(self, run_id, scheme, n, m):
-        kc = self.kernel_counts
-        return (
-            f"{run_id},{scheme},{n},{m},{self.reductions},"
-            f"{kc[MV_TRANS_MV]},{kc[MV_DOT]},{kc[MV_TIMES_MAT_ADD_MV]},"
-            f"{self.flops}"
-        )
 
 
 @dataclass(frozen=True)

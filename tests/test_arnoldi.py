@@ -252,6 +252,22 @@ def test_finalize_without_steps_single_column(manteuffel10, start100):
         assert np.linalg.norm(v[:, 0]) == pytest.approx(1.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+def test_finalize_returns_append_only_views(scheme, manteuffel10, start100):
+    exp = arnoldi(manteuffel10, start100, scheme, capacity=12)
+    for _ in range(5):
+        exp.step()
+    v, h = exp.finalize()
+    assert v.flags.f_contiguous and np.shares_memory(v, exp._v)
+    v_bits, h_bits = v.tobytes("F"), h.tobytes("F")
+    for _ in range(4):
+        exp.step()
+    v2, h2 = exp.finalize()
+    assert (v.tobytes("F"), h.tobytes("F")) == (v_bits, h_bits)
+    assert v2[:, : v.shape[1]].tobytes("F") == v_bits
+    assert h2[: h.shape[0], : h.shape[1]].tobytes("F") == h_bits
+
+
 def test_mid_run_extended_views(manteuffel10, start100):
     exp = arnoldi(manteuffel10, start100, "dcgs2", capacity=10)
     for _ in range(6):

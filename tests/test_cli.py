@@ -122,6 +122,23 @@ def test_gmres_subcommand(tmp_path):
         assert float(a[2]) == pytest.approx(float(b[2]), abs=1e-8)
 
 
+def test_gmres_backward_error_stride(tmp_path):
+    args = ["gmres", "--laplace-dims", "6,6,6", "--steps", "12", "--seed", "3",
+            "--restart", "0", "--scheme", "dcgs2"]
+    code, text = run_csv(tmp_path, args + ["--be-stride", "5"], "s5.csv")
+    assert code == 0
+    assert "# be_stride: 5" in text.splitlines()
+    rows = [r.split(",") for r in rows_of(text)[1:]]
+    assert [int(r[1]) for r in rows if r[3]] == [5, 10, 12]
+    _, full = run_csv(tmp_path, args + ["--be-stride", "1"], "s1.csv")
+    full = [r.split(",") for r in rows_of(full)[1:]]
+    assert all(r[3] for r in full)
+    assert [(r[2], r[4]) for r in rows] == [(r[2], r[4]) for r in full]
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--be-stride", "-1"])
+    assert err.value.code == 2
+
+
 def test_mm_run_subcommand(tmp_path):
     code, text = run_csv(
         tmp_path,

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from kls.arnoldi import arnoldi_expand
 from kls.gmres import GmresConfig, _GivensLS, backward_error, gmres_solve
 from kls.ledger import SyncLedger
 from kls.problems import (
     CsrOperator,
     DenseOperator,
+    ManteuffelSpec,
     laplace3d,
+    manteuffel_build,
     synthetic_kappa,
 )
 
@@ -173,3 +176,71 @@ def test_matrix_free_frobenius_probe_used():
         exact_fro * np.linalg.norm(x + 1e-3) + np.linalg.norm(b)
     )
     assert be == pytest.approx(ref, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# backward-error schedule
+
+
+@pytest.fixture(scope="module")
+def manteuffel20():
+    op = CsrOperator(manteuffel_build(ManteuffelSpec(k=20)))
+    return op, np.random.Generator(np.random.PCG64(3)).standard_normal(op.n)
+
+
+def test_default_records_one_backward_error_per_cycle(manteuffel20):
+    op, b = manteuffel20
+    res = gmres_solve(op, b, GmresConfig(max_iters=50, restart=15))
+    assert res.backward_error_iters.tolist() == [15, 30, 45, 50]
+    assert len(res.backward_errors) == 4
+    assert res.backward_errors[-1] == backward_error(op, res.x, b)
+
+
+def test_stride_one_matches_independent_recomputation(manteuffel20):
+    # every prefix iterate x0 + V_j y_j of every cycle, rebuilt from a plain
+    # expansion and a dense least-squares solve
+    op, b = manteuffel20
+    iters, restart = 25, 10
+    res = gmres_solve(op, b, GmresConfig(max_iters=iters, restart=restart, be_stride=1))
+    assert res.backward_error_iters.tolist() == list(range(1, iters + 1))
+    x, want = np.zeros(op.n), []
+    for done in range(0, iters, restart):
+        n = min(restart, iters - done)
+        r = b - op.apply(x)
+        v, h = arnoldi_expand(op, r, "cgs2", steps=n)
+        for j in range(1, n + 1):
+            rhs = np.zeros(j + 1)
+            rhs[0] = np.linalg.norm(r)
+            y = np.linalg.lstsq(h[: j + 1, :j], rhs, rcond=None)[0]
+            want.append(backward_error(op, x + v[:, :j] @ y, b))
+        x = x + v[:, :n] @ y
+    assert np.allclose(res.backward_errors, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scheme", ("cgs2", "dcgs2"))
+def test_backward_error_stride_leaves_the_solve_unchanged(scheme, manteuffel20):
+    op, b = manteuffel20
+    runs = []
+    for stride in (0, 1, 7):
+        led = SyncLedger()
+        cfg = GmresConfig(max_iters=40, restart=15, scheme=scheme, be_stride=stride)
+        res = gmres_solve(op, b, cfg, ledger=led)
+        runs.append((res.x.tobytes(), res.residual_history.tobytes(),
+                     res.reduction_history.tobytes(), led.reductions, led.flops,
+                     dict(led.kernel_counts)))
+        if stride == 7:
+            assert res.backward_error_iters.tolist() == [7, 14, 15, 21, 28, 30, 35, 40]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("scheme,napply", (("cgs2", 310), ("dcgs2", 320)))
+def test_default_applies_once_per_iteration_and_cycle(scheme, napply):
+    # the benchmark's GMRES(30) part: 300 iterations in 10 cycles; the
+    # delayed scheme also applies the operator to each cycle's start vector
+    op = CsrOperator(manteuffel_build(ManteuffelSpec(k=200)))
+    b = op.apply(np.random.Generator(np.random.PCG64(1)).standard_normal(op.n))
+    op.napply = 0
+    res = gmres_solve(op, b, GmresConfig(max_iters=300, restart=30, scheme=scheme))
+    cycles = 10
+    assert res.iterations == 300 and len(res.backward_errors) == cycles
+    assert op.napply == napply

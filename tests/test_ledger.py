@@ -2,7 +2,6 @@ import pytest
 
 from kls.errors import UnknownSchemeError
 from kls.ledger import (
-    CSV_HEADER,
     MV_DOT,
     MV_TIMES_MAT_ADD_MV,
     MV_TRANS_MV,
@@ -49,15 +48,6 @@ def test_reset_and_local_flops():
 def test_unknown_kernel_class_rejected():
     with pytest.raises(ValueError):
         SyncLedger().record("Gemm")
-
-
-def test_csv_row_schema():
-    led = SyncLedger()
-    led.record(MV_TRANS_MV, flops=100)
-    led.record(MV_DOT, flops=10)
-    row = led.csv_row("r1", "cgs2", 50, 5000)
-    assert CSV_HEADER == "run_id,scheme,n,m,reductions,mvtransmv,mvdot,mvtimes,flops"
-    assert row == "r1,cgs2,50,5000,2,1,1,0,110"
 
 
 @pytest.mark.parametrize(

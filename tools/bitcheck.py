@@ -79,7 +79,8 @@ def dump(checkout, path):
         def gmres(led):
             m20.napply = 0
             r = gmres_solve(m20, b, GmresConfig(max_iters=100, restart=30, scheme=s), ledger=led)
-            return r.x, r.residual_history, r.backward_errors, r.reduction_history, m20.napply
+            return (r.x, r.residual_history, r.backward_errors, r.backward_error_iters,
+                    r.reduction_history, m20.napply)
         run(("gmres", s), gmres)
 
         def ks(led):
