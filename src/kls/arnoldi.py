@@ -12,14 +12,17 @@ column off the coefficients of the basis column the push emits.  The
 delayed schemes emit one column late, so the matrix is applied to the
 unnormalized pending vector (its image is computed eagerly at stash time
 so the fused reduction consumes both blocks).
+
+The ``householder`` expansion is Walker's Householder Arnoldi on LAPACK
+reflectors, in the compact form that ``dense`` uses for QR.
 """
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .dense import householder_qr
+from .dense import reflectors
 from .errors import BreakdownError, DimensionError
-from .kernels import dot, mv_times_mat_add_mv
-from .ledger import SyncLedger
+from .ledger import MV_DOT, MV_TIMES_MAT_ADD_MV, SyncLedger
 from .ortho import SCHEME_IDS, check_finite, independent, make_state
 
 ARNOLDI_SCHEMES = SCHEME_IDS
@@ -210,99 +213,73 @@ class _GramSchmidtArnoldi(_BaseArnoldi):
 
 
 class _HouseholderArnoldi(_BaseArnoldi):
-    """Walker-style expansion through accumulated Householder reflectors."""
+    """Walker's expansion through accumulated Householder reflectors.
+
+    The reflectors are kept in LAPACK's compact form, as ``dense.reflectors``
+    returns them: step j makes P_j with ``dgeqrfp`` on the tail of
+    P_{j-1} ... P_0 A v_{j-1}, and ``dormqr`` applies the products.  The
+    ledger is charged Walker's counts from the formula: one dot and one
+    update per applied reflector that is not the identity, and one dot (the
+    tail norm) per new reflector.
+    """
 
     scheme_id = "householder"
 
     def __init__(self, op, start, capacity, ledger=None):
         super().__init__(op, capacity, ledger)
         self._refl = np.zeros((self.m, capacity), order="F")
-        self._betas = np.zeros(capacity)
-        self._nrefl = 0
+        self._tau = np.zeros(capacity)
         if start is not None:
             start = np.asarray(start, dtype=np.float64)
-            nrm = float(np.linalg.norm(start))
-            if not nrm > 0.0:
+            if not float(np.linalg.norm(start)) > 0.0:
                 raise ValueError("zero start vector")
-            self.start_norm = self._push_reflector(start.copy())
-            self._v[:, 0] = self._form_basis_column(0)
-            self.nbasis = 1
+            self.start_norm = self._new_reflector(start, 0)
+            self._new_column(0)
 
     def _adopt(self, basis, hbar):
         # re-encode the orthonormal basis as reflectors; R is +I to rounding
         k = hbar.shape[1]
-        fac = householder_qr(basis, ledger=self.ledger)
-        self._refl[:, : k + 1] = fac.reflectors
-        self._betas[: k + 1] = fac.betas
-        self._nrefl = k + 1
+        self._refl[:, : k + 1], self._tau[: k + 1] = reflectors(basis, self.ledger)
         self._v[:, : k + 1] = basis
         super()._adopt(basis, hbar)
 
-    def _apply_forward(self, z):
-        """z <- P_{r-1} ... P_0 z."""
-        for i in range(self._nrefl):
-            beta = self._betas[i]
-            if beta == 0.0:
-                continue
-            v = self._refl[i:, i]
-            w = beta * dot(v, z[i:], ledger=self.ledger)
-            mv_times_mat_add_mv(
-                z[i:, None], v[:, None], [[w]], sign=-1.0, ledger=self.ledger
-            )
-        return z
+    def _apply(self, z, r, trans):
+        """P_{r-1} ... P_0 z (trans "T") or P_0 ... P_{r-1} z (trans "N")."""
+        tau = self._tau[:r]
+        for i in np.flatnonzero(tau):
+            self.ledger.record(MV_DOT, flops=2 * (self.m - i))
+            self.ledger.record(MV_TIMES_MAT_ADD_MV, flops=2 * (self.m - i))
+        return lapack.dormqr("L", trans, self._refl[:, :r], tau, z[:, None], lwork=1)[0][:, 0]
 
-    def _form_basis_column(self, i):
-        """q_i = P_0 ... P_i e_i."""
-        z = np.zeros(self.m)
-        z[i] = 1.0
-        for k in range(i, -1, -1):
-            beta = self._betas[k]
-            if beta == 0.0:
-                continue
-            v = self._refl[k:, k]
-            w = beta * dot(v, z[k:], ledger=self.ledger)
-            mv_times_mat_add_mv(
-                z[k:, None], v[:, None], [[w]], sign=-1.0, ledger=self.ledger
-            )
-        return z
+    def _new_reflector(self, z, j):
+        """Store P_j, which zeroes z below row j and leaves +||z[j:]|| in row
+        j; returns that norm."""
+        self.ledger.record(MV_DOT, flops=2 * (self.m - j - 1))
+        a, tau, _ = lapack.dgeqrfp(z[j:, None])
+        self._refl[j:, j] = a[:, 0]
+        self._tau[j] = tau[0]
+        return float(a[0, 0])
 
-    def _push_reflector(self, z):
-        """Construct P_r zeroing z below row r; returns the pivot value."""
-        r = self._nrefl
-        x = z[r:]
-        sigma = dot(x[1:], x[1:], ledger=self.ledger)
-        v = np.zeros(self.m - r)
-        v[0] = 1.0
-        if sigma == 0.0:
-            beta = 0.0 if x[0] >= 0.0 else 2.0
-            pivot = abs(x[0])
-        else:
-            mu = float(np.sqrt(x[0] * x[0] + sigma))
-            v0 = x[0] - mu if x[0] <= 0.0 else -sigma / (x[0] + mu)
-            beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
-            v[1:] = x[1:] / v0
-            pivot = mu
-        self._refl[r:, r] = v
-        self._betas[r] = beta
-        self._nrefl += 1
-        return pivot
+    def _new_column(self, j):
+        """Basis column j is P_0 ... P_j e_j."""
+        e = np.zeros(self.m)
+        e[j] = 1.0
+        self._v[:, j] = self._apply(e, j + 1, "N")
+        self.nbasis = j + 1
 
     def _step(self):
         j = self.nbasis
         v = self.op.apply(self._v[:, j - 1])
         check_finite(v, self.scheme_id, j)
         scale = float(np.linalg.norm(v))
-        z = self._apply_forward(v.copy())
+        z = self._apply(v, j, "T")
         self._h[:j, j - 1] = z[:j]
+        self.hcols = j
         if not independent(float(np.linalg.norm(z[j:])), scale, self.m):
             self._h[j, j - 1] = 0.0
-            self.hcols = j
             return self._mark_happy()
-        pivot = self._push_reflector(z)
-        self._h[j, j - 1] = pivot
-        self.hcols = j
-        self._v[:, j] = self._form_basis_column(j)
-        self.nbasis += 1
+        self._h[j, j - 1] = self._new_reflector(z, j)
+        self._new_column(j)
         return True
 
 

@@ -265,7 +265,6 @@ def _cmd_gmres(args):
     ones = np.ones(op.n)
     b = op.apply(ones)
     b = b / np.linalg.norm(b)
-    op.napply = 0
 
     def worker(scheme):
         led = SyncLedger()

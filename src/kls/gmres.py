@@ -159,8 +159,9 @@ def gmres_solve(op, b, cfg, x0=None, ledger=None):
     iters = 0
     stagnated = False
     breakdown = False
-    converged = False
     r = b - op.apply(x) if x0 is not None else b.copy()
+    # an exactly zero residual leaves no start vector: x solves the system
+    converged = not np.any(r)
 
     while iters < cfg.max_iters and not converged and not breakdown:
         steps_budget = min(cycle_len, cfg.max_iters - iters)
@@ -216,7 +217,7 @@ def gmres_solve(op, b, cfg, x0=None, ledger=None):
         if not be_iters or be_iters[-1] != iters:
             be_hist.append(backward_error(op, x, b, residual=r))
             be_iters.append(iters)
-        if cfg.rtol > 0 and rel_hist and rel_hist[-1] <= cfg.rtol:
+        if not np.any(r) or (cfg.rtol > 0 and rel_hist and rel_hist[-1] <= cfg.rtol):
             converged = True
         if cfg.restart == 0:
             break

@@ -17,7 +17,8 @@ These states are the only implementation of each scheme: the Arnoldi
 expansion in ``arnoldi`` pushes operator images into them.
 
 Scheme ids: cgs, cgs2, cgs2-lagged, mgs, icwy-mgs, dcgs2, dcgs2-hrt,
-householder.
+householder.  ``householder`` is the reference, not a push state:
+``qr_factorize`` returns ``dense.householder_qr``, LAPACK's QR.
 """
 
 import numpy as np
@@ -43,19 +44,6 @@ def check_finite(a, scheme, step):
         raise NonFiniteError(
             f"{scheme}: non-finite column at step {step}", scheme=scheme, step=step
         )
-
-
-def _left_block(q, j):
-    """The fused left operand [Q, w]: the first j+1 basis columns, a view.
-
-    At j = 1 the block is copied to row-major order, the layout numpy
-    gives when it concatenates two single columns.  BLAS rounds the product
-    differently per layout, and the Krylov-Schur locking counts follow that
-    rounding.
-    """
-    if j == 1:
-        return np.ascontiguousarray(q[:, :2])
-    return q[:, : j + 1]
 
 
 class QrState:
@@ -238,7 +226,7 @@ class Cgs2LaggedState(QrState):
         s = mv_trans_mv(Q, u[:, None], ledger=self.ledger)[:, 0]
         w = self._q[:, j : j + 1]  # [Q, w] is then a view
         mv_times_mat_add_mv(w, Q, s[:, None], sign=-1.0, ledger=self.ledger)
-        fused = mv_trans_mv(_left_block(self._q, j), w, ledger=self.ledger)[:, 0]
+        fused = mv_trans_mv(self._q[:, : j + 1], w, ledger=self.ledger)[:, 0]
         c, beta = fused[:j], fused[j]
         self._guard(s + c, float(np.sqrt(max(beta, 0.0))), scale)
         alpha = self._pythagorean_norm(beta, c, self.npushed)
@@ -293,8 +281,9 @@ class _DelayedState(QrState):
 
     def __init__(self, m, n_cap, ledger=None):
         super().__init__(m, n_cap, ledger)
-        # the fused right operand [w, a]; row-major, because BLAS rounds the
-        # product differently per layout (see _left_block)
+        # the fused right operand [w, a]; row-major, the layout numpy gives
+        # two stacked columns.  BLAS rounds the product differently per
+        # layout, and the Krylov-Schur locking counts follow that rounding
         self._wa = np.empty((m, 2))
 
     def _stash(self, coeffs, scale, d=1.0):
@@ -328,7 +317,7 @@ class _DelayedState(QrState):
         wa = self._wa
         wa[:, 0] = self._q[:, j]
         wa[:, 1] = a
-        g = mv_trans_mv(_left_block(self._q, j), wa, ledger=self.ledger)
+        g = mv_trans_mv(self._q[:, : j + 1], wa, ledger=self.ledger)
         c, s = g[:j, 0], g[:j, 1]
         alpha = self._emit_pending(c, float(g[j, 0]))
         d = alpha if pending_image else 1.0
@@ -516,8 +505,7 @@ def qr_factorize(A, scheme, ledger=None, **options):
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise DimensionError(f"tall matrix expected, got {A.shape}")
     if scheme == "householder":
-        fac = householder_qr(A, ledger=ledger)
-        return fac.thin_q(), fac.r.copy()
+        return householder_qr(A, ledger=ledger)
     state = make_state(scheme, A.shape[0], A.shape[1], ledger=ledger, **options)
     for j in range(A.shape[1]):
         state.push(A[:, j])

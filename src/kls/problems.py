@@ -141,12 +141,6 @@ class CsrMatrix:
             raise DimensionError(f"operand of length {self.ncols} expected")
         return self._sparse @ x
 
-    def transpose(self):
-        rows = np.repeat(np.arange(self.nrows), np.diff(self.indptr))
-        return CsrMatrix.from_coo(
-            self.ncols, self.nrows, self.indices, rows, self.data
-        )
-
     def to_dense(self):
         return self._sparse.toarray()
 

@@ -90,6 +90,15 @@ def test_icwy_totals_steps_plus_one(manteuffel10, start100):
     assert led.reductions == 21
 
 
+def test_householder_totals_walker(manteuffel10, start100):
+    # step j applies j reflectors, makes one, and forms its basis column
+    # from j + 1; with the start's 2, s steps record (s + 1)(s + 2)
+    for steps in (1, 5, 40):
+        led = SyncLedger()
+        arnoldi_expand(manteuffel10, start100, "householder", steps=steps, ledger=led)
+        assert led.reductions == (steps + 1) * (steps + 2)
+
+
 def test_identity_operator_happy_breakdown():
     op = DenseOperator(np.eye(7))
     for scheme in ARNOLDI_SCHEMES:

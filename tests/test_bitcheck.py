@@ -42,3 +42,16 @@ def test_bitcheck_compare_lists_each_difference(tmp_path):
     assert lines[1:] == [
         "  ('qr', 'x'): max |diff| 2; reductions equal, flops differ, kernel counts equal"
     ]
+
+
+def test_bitcheck_compare_exits_quietly_on_closed_output(tmp_path):
+    import pickle
+
+    path = str(tmp_path / "a.pkl")
+    with open(path, "wb") as f:
+        pickle.dump({("qr", "x"): ((1.0,), 4, 10, {})}, f)
+    proc = subprocess.Popen([sys.executable, SCRIPT, "compare", path, path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # as `| head` does once it has its lines
+    err = proc.communicate(timeout=60)[1]
+    assert err == b"" and proc.returncode == 1

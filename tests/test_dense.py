@@ -13,49 +13,54 @@ def loo(q):
 
 
 def test_identity_factorizes_to_identity():
-    fac = householder_qr(np.eye(4))
-    assert np.allclose(fac.thin_q(), np.eye(4), atol=1e-15)
-    assert np.allclose(fac.r, np.eye(4), atol=1e-15)
+    led = SyncLedger()
+    q, r = householder_qr(np.eye(4), ledger=led)
+    assert np.allclose(q, np.eye(4), atol=1e-15)
+    assert np.allclose(r, np.eye(4), atol=1e-15)
+    # every reflector is the identity (tau = 0): only the tail norms
+    assert led.kernel_counts == {"MvTransMv": 0, "MvTimesMatAddMv": 0, "MvDot": 4}
 
 
 def test_single_column():
-    fac = householder_qr(np.array([[2.0], [0.0], [0.0]]))
-    assert fac.r[0, 0] == pytest.approx(2.0)
-    assert np.allclose(fac.thin_q()[:, 0], [1.0, 0.0, 0.0])
+    # x0 = 2 needs no reflector (tau = 0); x0 = -2 is the pure sign flip
+    # (tau = 2), which costs the fused product and update like any other
+    for x0, fused in ((2.0, 0), (-2.0, 1)):
+        led = SyncLedger()
+        q, r = householder_qr(np.array([[x0], [0.0], [0.0]]), ledger=led)
+        assert r[0, 0] == 2.0
+        assert np.array_equal(q[:, 0], [np.sign(x0), 0.0, 0.0])
+        assert led.kernel_counts == {"MvTransMv": fused, "MvTimesMatAddMv": fused, "MvDot": 1}
 
 
 def test_random_200x50_self_check(rng):
     a = rng.standard_normal((200, 50))
-    fac = householder_qr(a)
-    q = fac.thin_q()
+    q, r = householder_qr(a)
     assert loo(q) <= 1e-13
-    assert np.linalg.norm(a - q @ fac.r) <= 1e-14 * np.sqrt(200 * 50) * np.linalg.norm(a)
+    assert np.linalg.norm(a - q @ r) <= 1e-14 * np.sqrt(200 * 50) * np.linalg.norm(a)
 
 
 def test_r_diagonal_nonnegative(rng):
     a = rng.standard_normal((30, 10))
-    fac = householder_qr(a)
-    assert np.all(np.diag(fac.r) >= 0)
+    _, r = householder_qr(a)
+    assert np.all(np.diag(r) >= 0)
 
 
 def test_rank_deficient_zero_diagonal(rng):
     a = rng.standard_normal((20, 4))
     a[:, 2] = a[:, 0]  # dependent column
-    fac = householder_qr(a)
-    assert abs(fac.r[2, 2]) <= 1e-13 * np.linalg.norm(a)
-    assert np.linalg.norm(a - fac.thin_q() @ fac.r) <= 1e-13 * np.linalg.norm(a)
-
-
-def test_apply_q_roundtrip(rng):
-    a = rng.standard_normal((25, 8))
-    fac = householder_qr(a)
-    x = rng.standard_normal(25)
-    assert np.allclose(fac.apply_q(fac.apply_qt(x)), x, atol=1e-13)
+    q, r = householder_qr(a)
+    assert abs(r[2, 2]) <= 1e-13 * np.linalg.norm(a)
+    assert np.linalg.norm(a - q @ r) <= 1e-13 * np.linalg.norm(a)
 
 
 def test_wide_matrix_rejected():
     with pytest.raises(DimensionError):
         householder_qr(np.ones((3, 5)))
+
+
+def test_no_columns():
+    q, r = householder_qr(np.ones((3, 0)))
+    assert q.shape == (3, 0) and r.shape == (0, 0)
 
 
 def test_ledger_counts(rng):
@@ -75,11 +80,10 @@ def test_reconstruction_and_orthogonality_property(n, extra, seed):
     m = n + extra
     gen = np.random.Generator(np.random.PCG64(seed))
     a = gen.standard_normal((m, n))
-    fac = householder_qr(a)
-    q = fac.thin_q()
+    q, r = householder_qr(a)
     assert loo(q) <= 1e-13 * n
-    assert np.linalg.norm(a - q @ fac.r) <= 1e-14 * np.sqrt(m * n) * np.linalg.norm(a)
-    assert np.allclose(np.tril(fac.r, -1), 0.0)
+    assert np.linalg.norm(a - q @ r) <= 1e-14 * np.sqrt(m * n) * np.linalg.norm(a)
+    assert np.allclose(np.tril(r, -1), 0.0)
 
 
 def test_random_orthogonal_unit_vector():

@@ -57,11 +57,6 @@ def test_csr_empty_rows_matvec():
     assert csr.matvec(np.array([1.0, 2.0, 3.0])).tolist() == [0.0, 0.0, 7.0]
 
 
-def test_csr_transpose(rng):
-    csr = CsrMatrix.from_coo(3, 5, [0, 2, 2], [4, 1, 3], [1.0, 2.0, 3.0])
-    assert np.array_equal(csr.transpose().to_dense(), csr.to_dense().T)
-
-
 # ---------------------------------------------------------------------------
 # Manteuffel family
 

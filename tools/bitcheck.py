@@ -18,6 +18,7 @@ checkout, in its own process.  Load only dumps this script wrote: unpickling
 runs code.
 """
 
+import os
 import pickle
 import sys
 
@@ -143,4 +144,9 @@ def compare(path_a, path_b):
 if __name__ == "__main__":
     if len(sys.argv) != 4 or sys.argv[1] not in ("dump", "compare"):
         sys.exit(__doc__)
-    (dump if sys.argv[1] == "dump" else compare)(*sys.argv[2:4])
+    try:
+        (dump if sys.argv[1] == "dump" else compare)(*sys.argv[2:4])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed the output, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
