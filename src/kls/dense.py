@@ -8,6 +8,7 @@ all of the reflector arithmetic and holds the reflectors in its compact
 """
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import DimensionError
@@ -50,4 +51,5 @@ def random_orthogonal(m, n, seed):
     if m < n:
         raise DimensionError(f"need m >= n, got ({m}, {n})")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return np.linalg.qr(rng.standard_normal((m, n)))[0]
+    g = rng.standard_normal((m, n))
+    return scipy.linalg.qr(g, mode="economic", overwrite_a=True, check_finite=False)[0]

@@ -170,13 +170,19 @@ def gmres_solve(op, b, cfg, x0=None, ledger=None):
         processed = 0
         no_progress = 0
         best = np.inf
+        pending = None  # (iteration, y) of a stride value, until a later column
 
         def drain():
             nonlocal processed, no_progress, best, stagnated
-            nonlocal ls
+            nonlocal ls, pending
             while processed < exp.hcols:
                 if ls is None:
                     ls = _GivensLS(steps_budget, exp.start_norm)
+                if pending is not None:
+                    it, y = pending
+                    be_hist.append(backward_error(op, x + exp.basis[:, : len(y)] @ y, b))
+                    be_iters.append(it)
+                    pending = None
                 hcol = exp._h[: processed + 1, processed]
                 sub = exp._h[processed + 1, processed]
                 absres = ls.append(hcol, sub)
@@ -185,9 +191,7 @@ def gmres_solve(op, b, cfg, x0=None, ledger=None):
                 red_hist.append(ledger.reductions)
                 it = iters + processed + 1
                 if cfg.be_stride and it % cfg.be_stride == 0:
-                    y = ls.solve()
-                    be_hist.append(backward_error(op, x + exp.basis[:, : len(y)] @ y, b))
-                    be_iters.append(it)
+                    pending = (it, ls.solve())
                 if rel < best * (1.0 - 1e-12):
                     best = rel
                     no_progress = 0
@@ -211,12 +215,11 @@ def gmres_solve(op, b, cfg, x0=None, ledger=None):
         y = ls.solve() if ls is not None else np.zeros(0)
         x = x + v_mat[:, : len(y)] @ y
         # the restart residual: the next cycle's start vector, and the
-        # backward error of this cycle's last iterate (unless the stride
-        # already recorded it, from the same x)
+        # backward error of this cycle's last iterate, which a pending
+        # stride value would have taken from the same x with one more apply
         r = b - op.apply(x)
-        if not be_iters or be_iters[-1] != iters:
-            be_hist.append(backward_error(op, x, b, residual=r))
-            be_iters.append(iters)
+        be_hist.append(backward_error(op, x, b, residual=r))
+        be_iters.append(iters)
         if not np.any(r) or (cfg.rtol > 0 and rel_hist and rel_hist[-1] <= cfg.rtol):
             converged = True
         if cfg.restart == 0:

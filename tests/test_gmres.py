@@ -254,3 +254,17 @@ def test_default_applies_once_per_iteration_and_cycle(scheme, napply):
     cycles = 10
     assert res.iterations == 300 and len(res.backward_errors) == cycles
     assert op.napply == napply
+
+
+@pytest.mark.parametrize("scheme,stride,napply", (("cgs2", 1, 600), ("dcgs2", 1, 610),
+                                                  ("cgs2", 30, 310), ("dcgs2", 30, 320)))
+def test_stride_value_at_cycle_end_costs_no_apply(scheme, stride, napply):
+    # the same run with a stride: each stride value costs one apply, except
+    # at a cycle's last iteration, where the restart residual gives it
+    op = CsrOperator(manteuffel_build(ManteuffelSpec(k=200)))
+    b = op.apply(np.random.Generator(np.random.PCG64(1)).standard_normal(op.n))
+    op.napply = 0
+    cfg = GmresConfig(max_iters=300, restart=30, scheme=scheme, be_stride=stride)
+    res = gmres_solve(op, b, cfg)
+    assert res.backward_error_iters.tolist() == list(range(stride, 301, stride))
+    assert op.napply == napply

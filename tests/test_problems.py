@@ -115,6 +115,50 @@ def test_manteuffel_nondefault_h_matches_assembly():
     assert np.max(np.abs(ev - manteuffel_eigenvalues(spec).values)) <= 1e-8
 
 
+def _manteuffel_coo(spec):
+    """Reference assembly: the row-by-row stencil triplets of M and N, each
+    summed by ``from_coo``, then the scaled parts summed by ``from_coo``."""
+    k = spec.k
+    m_rows, m_cols, m_vals = [], [], []
+    n_rows, n_cols, n_vals = [], [], []
+    for blk in range(k):
+        for i in range(k):
+            r = blk * k + i
+            m_rows.append(r), m_cols.append(r), m_vals.append(4.0)
+            for nb, active, sign in ((r - 1, i > 0, -1.0), (r - k, blk > 0, -1.0),
+                                     (r + 1, i < k - 1, 1.0), (r + k, blk < k - 1, 1.0)):
+                if active:
+                    m_rows.append(r), m_cols.append(nb), m_vals.append(-1.0)
+                    n_rows.append(r), n_cols.append(nb), n_vals.append(sign)
+    mm = CsrMatrix.from_coo(spec.m, spec.m, m_rows, m_cols, m_vals)
+    nn = CsrMatrix.from_coo(spec.m, spec.m, n_rows, n_cols, n_vals)
+    diff, conv = 1.0 / (spec.h * spec.h), spec.beta / (2.0 * spec.h)
+    rows = [np.repeat(np.arange(spec.m), np.diff(p.indptr)) for p in (mm, nn)]
+    a = CsrMatrix.from_coo(spec.m, spec.m, np.concatenate(rows),
+                           np.concatenate([mm.indices, nn.indices]),
+                           np.concatenate([diff * mm.data, conv * nn.data]))
+    return a, mm, nn
+
+
+def _bits(csr):
+    return (csr.shape, csr.indptr.dtype, csr.indices.dtype, csr.data.dtype,
+            csr.indptr.tobytes(), csr.indices.tobytes(), csr.data.tobytes())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 20])
+@pytest.mark.parametrize("beta,length", [(0.0, None), (0.5, None), (-1.3, None),
+                                         (2.0, None), (0.3, 2.0)])
+def test_manteuffel_assembly_bitwise_equals_coo_reference(k, beta, length):
+    spec = ManteuffelSpec(k=k, beta=beta, length=length)
+    built = (manteuffel_build(spec), *manteuffel_parts(spec))
+    for got, want in zip(built, _manteuffel_coo(spec)):
+        assert _bits(got) == _bits(want)
+        assert (got.indptr.dtype, got.indices.dtype, got.data.dtype) == (
+            np.int64, np.int64, np.float64)
+        for r in range(spec.m):
+            assert np.all(np.diff(got.indices[got.indptr[r]: got.indptr[r + 1]]) > 0)
+
+
 def test_manteuffel_complex_spectrum_rejected():
     with pytest.raises(ValueError):
         manteuffel_eigenvalues(ManteuffelSpec(k=3, beta=2.5))

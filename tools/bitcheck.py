@@ -3,11 +3,13 @@
     python tools/bitcheck.py dump CHECKOUT OUT.pkl
     python tools/bitcheck.py compare A.pkl B.pkl
 
-``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 58
+``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 64
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 resumed from a Hessenberg and from a dense coupling row, GMRES(30) on
-Manteuffel k=20 and Krylov-Schur on Manteuffel k=10, for every scheme.
+Manteuffel k=20 and Krylov-Schur on Manteuffel k=10, for every scheme; and
+the generators: the CSR arrays of Manteuffel k=10 and k=200, and 2000x50
+``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12.
 Each case also records the ledger's reductions, flops and kernel counts.
 ``compare`` prints ``N cases, D differ: [...]``, then one line per
 differing case with the largest absolute difference over its arrays and
@@ -39,6 +41,14 @@ def dump(checkout, path):
         res = fn(led)
         out[key] = (res, led.reductions, led.flops, dict(led.kernel_counts))
 
+    def csr(k):  # the arrays and their dtypes
+        c = manteuffel_build(ManteuffelSpec(k=k))
+        return c.shape, [(a, a.dtype.str) for a in (c.indptr, c.indices, c.data)]
+
+    for k in (10, 200):
+        run(("problems", "manteuffel", k), lambda led: csr(k))
+    for kappa in (1e0, 1e4, 1e8, 1e12):
+        run(("problems", "kappa", kappa), lambda led: synthetic_kappa(2000, 50, kappa, 13))
     panel = np.random.Generator(np.random.PCG64(11)).standard_normal((2000, 40))
     for name, a in (("panel", panel), ("kappa", synthetic_kappa(1000, 30, 1e10, 3))):
         for s, opt in variants:
