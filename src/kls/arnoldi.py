@@ -147,11 +147,11 @@ class _GramSchmidtArnoldi(_BaseArnoldi):
             self._image = self.op.apply(self._v[:, 0])
         else:
             self.start_norm = nrm
-            self.state.adopt(start / nrm)
+            self.state.adopt((start / nrm)[:, None])
             self.nbasis = 1
 
     def _adopt(self, basis, hbar):
-        self.state.adopt_block(basis)
+        self.state.adopt(basis)
         super()._adopt(basis, hbar)
 
     def _has_pending(self):

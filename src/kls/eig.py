@@ -6,6 +6,11 @@ passes the tolerance, and thick-restarts with the locked vectors plus the
 best remaining Schur vectors.  Converged values are always validated by
 the residual |b^T y| of the (possibly generalized) coupling row, so every
 reported eigenvalue passed the test at lock time.
+
+Each restart solves for the Ritz vectors once: an orthogonal reordering
+of the Schur form does not change a Ritz pair's residual |b^T y| (the
+Krylov-Schur invariance), so the residuals are carried through it.
+Against an exact spectrum the reported values are matched once, at the end.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import arnoldi, resume_arnoldi
-from .errors import DimensionError
+from .errors import DimensionError, IterationLimitError
 from .kernels import mv_times_mat_add_mv, mv_trans_mv, norm2
 from .ledger import SyncLedger
 from .problems import CsrMatrix, LinearOperator
@@ -57,7 +62,6 @@ class EigResult:
     incomplete: bool  # restart budget exhausted before the basis filled
     over_multiplicity: bool  # a value matched an exact eigenvalue already used up
     lock_history: list = field(default_factory=list)  # invariant dim per restart
-    diagnostics: dict = field(default_factory=dict)
 
 
 def ritz_residual(hbar, y):
@@ -100,21 +104,15 @@ def match_eigenvalues(computed, table, tol):
     for x in np.atleast_1d(np.asarray(computed)):
         dist = np.abs(unique - x)
         order = np.argsort(dist)
-        pick = None
-        for i in order:
-            if dist[i] >= tol:
-                break
-            if budget[i] > 0:
-                pick = i
-                break
-        if pick is not None:
-            budget[pick] -= 1
-            assignments.append((x, unique[pick]))
-            errors.append(dist[pick])
+        near = order[dist[order] < tol]
+        free = near[budget[near] > 0]
+        if len(free):
+            budget[free[0]] -= 1
+            assignments.append((x, unique[free[0]]))
+            errors.append(dist[free[0]])
         else:
             unmatched.append(x)
-            if dist[order[0]] < tol:
-                over = True
+            over = over or len(near) > 0
     return MatchReport(
         n_matched=len(assignments),
         forward_errors=np.array(errors),
@@ -131,13 +129,17 @@ def _schur_active(m_block):
     return SchurForm(form.t, u @ form.z)
 
 
+def _pair_tails(t):
+    """Flag the second column of each 2x2 diagonal block of T."""
+    return np.r_[False, np.diag(t, -1) != 0.0][: t.shape[0]]
+
+
 def _block_residuals(t, b_row):
-    """Per-block Arnoldi residuals |b^T y| from a quasi-triangular block."""
-    form = SchurForm(t, np.eye(t.shape[0]))
-    blocks = form.blocks()
-    vals, vecs = schur_eigenvectors(form)
-    resid = np.array([abs(b_row @ vecs[:, i]) for i in range(len(blocks))])
-    return blocks, vals, resid
+    """Block sizes and per-block Arnoldi residuals |b^T y| of a
+    quasi-triangular block, from one eigenvector solve."""
+    starts = np.flatnonzero(~_pair_tails(t))
+    _, vecs = schur_eigenvectors(SchurForm(t, np.eye(t.shape[0])))
+    return np.diff(np.append(starts, t.shape[0])), np.abs(b_row @ vecs)
 
 
 def _fresh_direction(basis, rng, ledger):
@@ -157,10 +159,17 @@ def _fresh_direction(basis, rng, ledger):
 def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     """Run Krylov-Schur on a square operator.
 
-    ``exact`` is an optional EigenvalueTable; when given, locked values are
-    checked against it every cycle and over-multiplicity matches set the
-    result's error flag.  The returned invariant dimension counts locked
-    Schur vectors and never decreases across restarts.
+    Each restart solves for the active block's Ritz vectors once.  The two
+    reorderings that follow are orthogonal, which leaves each residual
+    |b^T y| unchanged, and keep the relative order within the moved group
+    and within the rest, so the residuals and the locked front are carried
+    through them.  A reordering LAPACK cannot complete raises
+    IterationLimitError.  ``exact`` is an optional EigenvalueTable: the
+    reported values are matched against it once, after the last restart,
+    and a value whose nearest exact eigenvalue is used up sets the
+    over-multiplicity flag.  The locked corner is never rewritten, so this
+    match sees what a match at every restart would.  The returned
+    invariant dimension counts locked Schur vectors and never decreases.
     """
     m = op.shape[0]
     n_max = min(cfg.max_basis, m)
@@ -171,11 +180,7 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     nlock = 0
     lock_resid = []
     lock_history = []
-    over_mult = False
-    v_mat = None
-    h_mat = None
     restarts = 0
-    incomplete = False
 
     while True:
         while exp.order < n_max and exp.step():
@@ -190,47 +195,39 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
         na = k - nlock
         if na > 0:
             subform = _schur_active(mm[nlock:, nlock:])
-            b_act = b_row[nlock:] @ subform.z
-            blocks, _, resid = _block_residuals(subform.t, b_act)
+            sizes, resid = _block_residuals(subform.t, b_row[nlock:] @ subform.z)
             conv = resid < cfg.tol
 
             # keep every converged block plus the lowest-residual survivors,
             # leaving one column of expansion headroom (block aligned)
-            conv_cols = int(sum(blocks[b][1] for b in range(len(blocks)) if conv[b]))
+            conv_cols = int(sizes[conv].sum())
             if happy:
                 unconv_budget = na
             else:
                 unconv_budget = max(min(cfg.keep, k - 1 - nlock - conv_cols), 0)
-            sel = np.zeros(len(blocks), dtype=bool)
+            sel = conv.copy()
             kept_unconv = 0
-            for b in np.lexsort((resid, ~conv)):
-                size = blocks[b][1]
+            for b in np.lexsort((resid, conv)):  # unconverged first, by residual
                 if conv[b]:
-                    sel[b] = True
-                elif kept_unconv + size <= unconv_budget:
-                    sel[b] = True
-                    kept_unconv += size
-            p_active = int(sum(blocks[b][1] for b in range(len(blocks)) if sel[b]))
-
-            # reorder: selected to the front, converged leading the selection
-            move_blocks_front(subform, sel)
-            b_act = b_row[nlock:] @ subform.z
-            blocks, _, resid = _block_residuals(subform.t, b_act)
-            move_blocks_front(subform, resid < cfg.tol)
-            b_act = b_row[nlock:] @ subform.z
-            blocks, _, resid = _block_residuals(subform.t, b_act)
-            conv = resid < cfg.tol
-
-            # lock the contiguous converged front and deflate its coupling
-            nconv_cols = 0
-            nconv_resid = []
-            for b, (start, size) in enumerate(blocks):
-                if start != nconv_cols or not conv[b]:
                     break
-                nconv_cols += size
-                nconv_resid.extend([resid[b]] * size)
-            b_act[:nconv_cols] = 0.0
+                if kept_unconv + sizes[b] <= unconv_budget:
+                    sel[b] = True
+                    kept_unconv += sizes[b]
+            p_active = int(sizes[sel].sum())
 
+            # reorder: selected to the front, converged leading the selection;
+            # the converged blocks are selected, so they then lead the
+            # selected group in their own order
+            lead = np.r_[conv[sel], np.zeros(np.count_nonzero(~sel), dtype=bool)]
+            if (move_blocks_front(subform, sel) != p_active
+                    or move_blocks_front(subform, lead) != conv_cols):
+                raise IterationLimitError(
+                    f"{cfg.scheme}: Schur reordering failed in restart {restarts + 1}"
+                )
+
+            # lock the converged front and deflate its coupling
+            b_act = b_row[nlock:] @ subform.z
+            b_act[:conv_cols] = 0.0
             mm[nlock:, nlock:] = subform.t
             if nlock:
                 mm[:nlock, nlock:] = mm[:nlock, nlock:] @ subform.z
@@ -239,80 +236,50 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
             p = nlock + p_active
             v_keep = np.hstack([v_mat[:, :nlock], v_act])[:, :p]
             b_keep = np.concatenate([np.zeros(nlock), b_act])[:p]
-            lock_resid.extend(nconv_resid)
-            nlock += nconv_cols
-            b_keep[:nlock] = 0.0
+            lock_resid.extend(np.repeat(resid[conv], sizes[conv]))
+            nlock += conv_cols
         else:
             p = nlock
             v_keep = v_mat[:, :p]
-            b_keep = np.zeros(p)
             happy = True
 
-        if exact is not None and nlock:
-            t_lock = mm[:nlock, :nlock]
-            locked_vals = SchurForm(t_lock, np.eye(nlock)).eigenvalues()
-            rep = match_eigenvalues(locked_vals.real, exact, cfg.tol)
-            if rep.over_multiplicity:
-                over_mult = True
-
-        mm_keep = mm[:p, :p]
         done_full = nlock >= min(m, n_max)
         restarts += 1
         lock_history.append(nlock)
         if done_full or restarts >= cfg.max_restarts:
-            incomplete = not done_full
-            v_mat = v_keep
-            h_mat = np.vstack([mm_keep, b_keep])
             break
 
         # rebuild the decomposition and resume
         if happy:
             if p >= n_max:
-                v_mat = v_keep
-                h_mat = np.vstack([mm_keep, b_keep])
                 break
             fresh = _fresh_direction(v_keep, rng, ledger)
             v_next = np.hstack([v_keep, fresh[:, None]])
-            hbar = np.vstack([mm_keep, np.zeros(p)])
+            hbar = np.vstack([mm[:p, :p], np.zeros(p)])
         else:
             v_next = np.hstack([v_keep, v_mat[:, k : k + 1]])
-            hbar = np.vstack([mm_keep, b_keep])
+            hbar = np.vstack([mm[:p, :p], b_keep])
         exp = resume_arnoldi(op, v_next, hbar, cfg.scheme, n_max + 1, ledger=ledger)
 
-    # extract locked Ritz values and vectors
-    t_lock = h_mat[:nlock, :nlock]
-    if nlock:
-        lock_form = SchurForm(t_lock, np.eye(nlock))
-        blocks = lock_form.blocks()
-        vals, vecs = schur_eigenvectors(lock_form)
-        values = []
-        vectors = []
-        residuals = []
-        for i, (start, size) in enumerate(blocks):
-            z = v_mat[:, :nlock] @ vecs[:, i]
-            values.append(vals[i])
-            vectors.append(z)
-            residuals.append(lock_resid[start])
-            if size == 2:
-                values.append(np.conj(vals[i]))
-                vectors.append(np.conj(z))
-                residuals.append(lock_resid[start + 1])
-        values = np.array(values)
-        vectors = np.array(vectors).T
-        residuals = np.array(residuals)
-    else:
-        values = np.zeros(0, dtype=complex)
-        vectors = np.zeros((m, 0), dtype=complex)
-        residuals = np.zeros(0)
+    # extract locked Ritz values and vectors: one column per block, and the
+    # second column of a 2x2 block is the conjugate of the first
+    t_lock = mm[:nlock, :nlock]
+    vals, vecs = schur_eigenvectors(SchurForm(t_lock, np.eye(nlock)))
+    tails = _pair_tails(t_lock)
+    cols = np.cumsum(~tails) - 1
+    values = np.where(tails, vals[cols].conj(), vals[cols])
+    vectors = v_keep[:, :nlock] @ vecs[:, cols]
+    vectors[:, tails] = vectors[:, tails].conj()
+    over = exact is not None and match_eigenvalues(values.real, exact, cfg.tol).over_multiplicity
 
     return EigResult(
         values=values,
         vectors=vectors,
-        residuals=residuals,
+        residuals=np.array(lock_resid),
         invariant_dim=nlock,
         restarts=restarts,
-        incomplete=incomplete,
-        over_multiplicity=over_mult,
+        incomplete=not done_full and restarts >= cfg.max_restarts,
+        over_multiplicity=over,
         lock_history=lock_history,
     )
 

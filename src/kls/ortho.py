@@ -144,18 +144,16 @@ class QrState:
         self.last_alpha = alpha
         self.ncols += 1
 
-    def adopt(self, qcol):
-        """Append an externally orthonormalized column (no reductions)."""
+    def adopt(self, V):
+        """Append the externally orthonormalized columns of the m-by-k
+        block V, with a unit R diagonal (no reductions)."""
         if self.npushed != self.ncols:
             raise DimensionError("cannot adopt while a column is pending")
-        self._q[:, self.ncols] = qcol
-        self._r[self.ncols, self.ncols] = 1.0
-        self.ncols += 1
-        self.npushed += 1
-
-    def adopt_block(self, V):
-        for k in range(V.shape[1]):
-            self.adopt(V[:, k])
+        j, k = self.ncols, V.shape[1]
+        self._q[:, j : j + k] = V
+        self._r[range(j, j + k), range(j, j + k)] = 1.0
+        self.ncols += k
+        self.npushed += k
 
     def push(self, a):
         raise NotImplementedError
@@ -360,10 +358,10 @@ class IcwyMgsState(_DelayedState):
         self._l = np.zeros((n_cap, n_cap))
         self.symmetric = symmetric
 
-    def adopt_block(self, V):
+    def adopt(self, V):
         """Adopt orthonormal columns, seeding L with one fused Gram block."""
         start = self.ncols
-        super().adopt_block(V)
+        super().adopt(V)
         if V.shape[1] > 1:
             g = mv_trans_mv(V, V, ledger=self.ledger)
             sl = slice(start, start + V.shape[1])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import kls.eig
 from kls.arnoldi import arnoldi_expand
 from kls.eig import (
     KrylovSchurConfig,
+    _block_residuals,
     eig_diagnostics,
     krylov_schur_run,
     match_eigenvalues,
@@ -17,7 +19,8 @@ from kls.problems import (
     manteuffel_build,
     manteuffel_eigenvalues,
 )
-from kls.schur import SchurForm, hessenberg_real_schur, schur_eigenvectors
+from kls.errors import IterationLimitError
+from kls.schur import SchurForm, hessenberg_real_schur, move_blocks_front, schur_eigenvectors
 
 
 def table_of(values, mults):
@@ -179,6 +182,83 @@ def test_nonsymmetric_complex_pairs(rng):
     got = np.sort_complex(res.values)
     want = np.sort_complex(np.linalg.eigvals(a))
     assert np.max(np.abs(got - want)) <= 1e-8
+
+
+def test_over_multiplicity_flag_with_short_table():
+    # k=10 with every multiplicity cut to 1: a scheme that locks a repeated
+    # eigenvalue twice within 40 restarts finds more copies than the table has
+    spec = ManteuffelSpec(k=10)
+    exact = manteuffel_eigenvalues(spec)
+    short = table_of(exact.unique, np.ones(len(exact.unique), dtype=np.int64))
+    op = CsrOperator(manteuffel_build(spec))
+    flags = {}
+    for scheme in ("dcgs2", "mgs"):
+        cfg = KrylovSchurConfig(max_basis=25, tol=1e-7, scheme=scheme, max_restarts=40)
+        res = krylov_schur_run(op, cfg, seed=7, exact=short)
+        assert res.over_multiplicity == match_eigenvalues(
+            res.values.real, short, 1e-7
+        ).over_multiplicity
+        flags[scheme] = res.over_multiplicity
+    assert flags == {"dcgs2": True, "mgs": False}
+
+
+def test_one_eigenvector_solve_per_restart_and_one_match(monkeypatch):
+    calls = {"schur_eigenvectors": 0, "match_eigenvalues": 0}
+
+    def counted(name):
+        original = getattr(kls.eig, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kls.eig, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    spec = ManteuffelSpec(k=10)
+    cfg = KrylovSchurConfig(max_basis=25, tol=1e-7, scheme="cgs2", max_restarts=20)
+    res = krylov_schur_run(
+        CsrOperator(manteuffel_build(spec)), cfg, seed=7, exact=manteuffel_eigenvalues(spec)
+    )
+    assert res.restarts == 20 and res.invariant_dim > 0
+    assert calls == {"schur_eigenvectors": res.restarts + 1, "match_eigenvalues": 1}
+
+
+def test_failed_reorder_raises_with_scheme_and_restart(monkeypatch):
+    # LAPACK reports a swap it cannot make by moving nothing; the third
+    # restart's first reordering is made to fail that way
+    real_move = kls.eig.move_blocks_front
+    calls = []
+
+    def failing_move(form, selected):
+        calls.append(1)
+        moved = real_move(form, selected)
+        return 0 if len(calls) == 5 else moved
+
+    monkeypatch.setattr(kls.eig, "move_blocks_front", failing_move)
+    spec = ManteuffelSpec(k=10)
+    cfg = KrylovSchurConfig(max_basis=25, tol=1e-7, scheme="dcgs2", max_restarts=10)
+    with pytest.raises(IterationLimitError, match="dcgs2.*restart 3"):
+        krylov_schur_run(CsrOperator(manteuffel_build(spec)), cfg, seed=7)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_residuals_invariant_under_reorder(seed):
+    import scipy.linalg
+
+    r = np.random.Generator(np.random.PCG64(seed))
+    t, _ = scipy.linalg.schur(r.standard_normal((14, 14)), output="real")
+    b = r.standard_normal(14)
+    sizes, resid = _block_residuals(t, b)
+    assert np.any(sizes == 2) and sizes.sum() == 14
+    sel = r.random(len(sizes)) < 0.5
+    form = SchurForm(t.copy(), np.eye(14))
+    assert move_blocks_front(form, sel) == sizes[sel].sum()
+    sizes_after, resid_after = _block_residuals(form.t, b @ form.z)
+    assert np.array_equal(sizes_after, np.r_[sizes[sel], sizes[~sel]])
+    want = np.r_[resid[sel], resid[~sel]]
+    assert np.allclose(resid_after, want, rtol=1e-12, atol=0.0)
 
 
 def test_config_validation():

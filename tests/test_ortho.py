@@ -145,7 +145,7 @@ def test_finalize_returns_append_only_views(scheme, rng):
     assert q.flags.f_contiguous
     assert np.shares_memory(q, state._q) and np.shares_memory(r, state._r)
     q_bits, r_bits = _bits(q), _bits(r)
-    state.adopt(np.eye(50)[:, 0])
+    state.adopt(np.eye(50)[:, :1])
     state.push(a[:, 5])
     q2, r2 = state.finalize()
     assert (_bits(q), _bits(r)) == (q_bits, r_bits)
@@ -225,7 +225,7 @@ def test_icwy_symmetric_variant_moderate_kappa():
 def test_dcgs2_hand_worked_step():
     # one finalized basis vector, pending column [3, 4, 1]
     state = Dcgs2State(3, 3)
-    state.adopt(np.array([0.0, 0.0, 1.0]))
+    state.adopt(np.array([[0.0], [0.0], [1.0]]))
     w = np.array([3.0, 4.0, 1.0])
     state._q[:, 1] = w  # the column's home: _stash holds it in place
     state._stash(np.array([0.0]), float(np.linalg.norm(w)))

@@ -3,11 +3,13 @@
     python tools/bitcheck.py dump CHECKOUT OUT.pkl
     python tools/bitcheck.py compare A.pkl B.pkl
 
-``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 64
+``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 66
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
-resumed from a Hessenberg and from a dense coupling row, GMRES(30) on
-Manteuffel k=20 and Krylov-Schur on Manteuffel k=10, for every scheme; and
+resumed from a Hessenberg and from a dense coupling row, for every scheme;
+GMRES(30) on Manteuffel k=20 and Krylov-Schur on Manteuffel k=10, against
+the exact spectrum and against it with every multiplicity cut to 1 (which
+raises the over-multiplicity flag), for cgs2 and dcgs2; and
 the generators: the CSR arrays of Manteuffel k=10 and k=200, and 2000x50
 ``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12.
 Each case also records the ledger's reductions, flops and kernel counts.
@@ -28,8 +30,8 @@ import sys
 def dump(checkout, path):
     sys.path.insert(0, f"{checkout}/src")
     import numpy as np
-    from kls import (CsrOperator, DenseOperator, GmresConfig, KrylovSchurConfig, ManteuffelSpec,
-                     SyncLedger, arnoldi, arnoldi_expand, gmres_solve, krylov_schur_run,
+    from kls import (CsrOperator, DenseOperator, EigenvalueTable, GmresConfig, KrylovSchurConfig,
+                     ManteuffelSpec, SyncLedger, arnoldi, arnoldi_expand, gmres_solve, krylov_schur_run,
                      manteuffel_build, manteuffel_eigenvalues, qr_factorize, resume_arnoldi,
                      synthetic_kappa)
     out = {}
@@ -86,6 +88,9 @@ def dump(checkout, path):
     m20 = CsrOperator(manteuffel_build(ManteuffelSpec(k=20)))
     b = np.random.Generator(np.random.PCG64(5)).standard_normal(m20.n)
     spec = ManteuffelSpec(k=10)
+    exact = manteuffel_eigenvalues(spec)
+    # every multiplicity 1: the over-multiplicity flag is raised
+    short = EigenvalueTable(exact.unique, exact.unique, np.ones_like(exact.multiplicity))
     for s in ("cgs2", "dcgs2"):
         def gmres(led):
             m20.napply = 0
@@ -94,12 +99,14 @@ def dump(checkout, path):
                     r.reduction_history, m20.napply)
         run(("gmres", s), gmres)
 
-        def ks(led):
+        def ks(table, max_restarts, led):
             op = CsrOperator(manteuffel_build(spec))
-            r = krylov_schur_run(op, KrylovSchurConfig(max_basis=50, scheme=s), seed=7,
-                                 ledger=led, exact=manteuffel_eigenvalues(spec))
-            return r.values, r.vectors, r.residuals, r.invariant_dim, r.lock_history, op.napply
-        run(("krylov-schur", s), ks)
+            cfg = KrylovSchurConfig(max_basis=50, scheme=s, max_restarts=max_restarts)
+            r = krylov_schur_run(op, cfg, seed=7, ledger=led, exact=table)
+            return (r.values, r.vectors, r.residuals, r.invariant_dim, r.lock_history,
+                    r.over_multiplicity, r.restarts, r.incomplete, op.napply)
+        run(("krylov-schur", s), lambda led: ks(exact, 100, led))
+        run(("krylov-schur", s, "short"), lambda led: ks(short, 40, led))
     with open(path, "wb") as f:
         pickle.dump(out, f)
 
