@@ -34,7 +34,6 @@ from .ledger import (
 )
 from .metrics import (
     StabilityReport,
-    forward_error_count,
     loss_of_orthogonality,
     representation_error_arnoldi,
     representation_error_qr,

@@ -52,12 +52,6 @@ class _BaseArnoldi:
         return self._v[:, : self.nbasis]
 
     @property
-    def h(self):
-        """Completed (hcols+1)-by-hcols expansion block (square if happy)."""
-        rows = min(self.hcols + 1, self.nbasis)
-        return self._h[:rows, : self.hcols]
-
-    @property
     def h_extended(self):
         """Completed block with a coupling row (zero after a breakdown)."""
         return self._h[: self.hcols + 1, : self.hcols]
@@ -131,23 +125,19 @@ class _GramSchmidtArnoldi(_BaseArnoldi):
     correction K = T - H c / alpha, which completes one step later.
     """
 
-    def __init__(self, op, start, scheme, capacity, ledger=None, **options):
-        self.state = make_state(scheme, op.shape[0], capacity, ledger=ledger, **options)
+    def __init__(self, op, start, scheme, capacity, ledger=None):
+        self.state = make_state(scheme, op.shape[0], capacity, ledger=ledger)
         super().__init__(op, capacity, self.state.ledger, v=self.state._q)
         self.scheme_id = scheme
         self._image = None  # operator image of the pending column
         if start is None:
             return
-        start = np.asarray(start, dtype=np.float64)
-        nrm = float(np.linalg.norm(start))
-        if not nrm > 0.0:
-            raise ValueError("zero start vector")
         if self.state.delayed:
             self.state.push(start)
             self._image = self.op.apply(self._v[:, 0])
         else:
-            self.start_norm = nrm
-            self.state.adopt((start / nrm)[:, None])
+            self.start_norm = float(np.linalg.norm(start))
+            self.state.adopt((start / self.start_norm)[:, None])
             self.nbasis = 1
 
     def _adopt(self, basis, hbar):
@@ -230,9 +220,6 @@ class _HouseholderArnoldi(_BaseArnoldi):
         self._refl = np.zeros((self.m, capacity), order="F")
         self._tau = np.zeros(capacity)
         if start is not None:
-            start = np.asarray(start, dtype=np.float64)
-            if not float(np.linalg.norm(start)) > 0.0:
-                raise ValueError("zero start vector")
             self.start_norm = self._new_reflector(start, 0)
             self._new_column(0)
 
@@ -283,14 +270,21 @@ class _HouseholderArnoldi(_BaseArnoldi):
         return True
 
 
-def arnoldi(op, start, scheme, capacity, ledger=None, **options):
-    """Construct an expansion for a scheme id from a start vector."""
+def arnoldi(op, start, scheme, capacity, ledger=None):
+    """Construct an expansion for a scheme id from a start vector; a start
+    with NaN or infinity raises NonFiniteError at step 0, a zero start
+    ValueError."""
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        check_finite(start, scheme, 0)
+        if not float(np.linalg.norm(start)) > 0.0:
+            raise ValueError("zero start vector")
     if scheme == "householder":
-        return _HouseholderArnoldi(op, start, capacity, ledger, **options)
-    return _GramSchmidtArnoldi(op, start, scheme, capacity, ledger, **options)
+        return _HouseholderArnoldi(op, start, capacity, ledger)
+    return _GramSchmidtArnoldi(op, start, scheme, capacity, ledger)
 
 
-def resume_arnoldi(op, basis, hbar, scheme, capacity, ledger=None, **options):
+def resume_arnoldi(op, basis, hbar, scheme, capacity, ledger=None):
     """Continue an expansion from an existing decomposition A V_k = V_{k+1} Hbar.
 
     ``basis`` holds k+1 orthonormal columns and ``hbar`` is (k+1)-by-k; the
@@ -302,14 +296,14 @@ def resume_arnoldi(op, basis, hbar, scheme, capacity, ledger=None, **options):
         raise DimensionError(
             f"expected (m, k+1) basis with (k+1, k) hbar, got {basis.shape} {hbar.shape}"
         )
-    exp = arnoldi(op, None, scheme, capacity, ledger, **options)
+    exp = arnoldi(op, None, scheme, capacity, ledger)
     exp._adopt(basis, hbar)
     return exp
 
 
-def arnoldi_expand(op, start, scheme, steps, ledger=None, **options):
+def arnoldi_expand(op, start, scheme, steps, ledger=None):
     """Run a fixed-order expansion and return (V, Hbar)."""
-    exp = arnoldi(op, start, scheme, capacity=steps + 1, ledger=ledger, **options)
+    exp = arnoldi(op, start, scheme, capacity=steps + 1, ledger=ledger)
     while exp.order < steps:
         if not exp.step():
             break

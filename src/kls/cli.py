@@ -3,7 +3,8 @@
 Every CSV starts with ``#`` comment lines carrying the library version and
 the full configuration, so a data file regenerates bit-for-bit from its own
 header.  Exit codes: 0 success, 2 configuration error, 3 assertion
-failure (sync-count mismatch), 4 a numerical breakdown halted a run.
+failure (sync-count mismatch, over-multiplicity), 4 a numerical failure
+halted a run.
 """
 
 import argparse
@@ -15,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .arnoldi import arnoldi
-from .eig import KrylovSchurConfig, krylov_schur_run, match_eigenvalues
-from .errors import BreakdownError, MatrixMarketError
+from .eig import KrylovSchurConfig, krylov_schur_run
+from .errors import BreakdownError, IterationLimitError, MatrixMarketError, NonFiniteError
 from .gmres import GmresConfig, gmres_solve
 from .ledger import SyncLedger, assert_matches, predicted_counts
 from .metrics import (
@@ -82,6 +83,25 @@ def _run_points(points, worker, jobs):
     return [worker(pt) for pt in points]
 
 
+#: the typed numerical errors a run can end in, each reported as a row status
+_RUN_ERRORS = (BreakdownError, NonFiniteError, IterationLimitError)
+
+
+def _status(err):
+    """The row status of a typed numerical error."""
+    if isinstance(err, BreakdownError):
+        return f"breakdown-{err.kind}"
+    return "nonfinite" if isinstance(err, NonFiniteError) else "iteration-limit"
+
+
+def _exit_code(rows):
+    """4 when a numerical failure halted a run, 3 on an over-multiplicity
+    row, else 0."""
+    if any(row.endswith(("nonfinite", "iteration-limit")) for row in rows):
+        return 4
+    return 3 if any(row.endswith("over-multiplicity") for row in rows) else 0
+
+
 def _fmt(x):
     if isinstance(x, float):
         return f"{x:.17e}"
@@ -115,12 +135,11 @@ def _cmd_qr_stability(args):
                 step=args.cols,
                 loo=loss_of_orthogonality(q),
                 rre=representation_error_qr(a, q, r),
-                kappa=kappa,
             )
             loo, rre, status = rep.loo, rep.rre, "ok"
         except BreakdownError as err:
             loo = rre = float("nan")
-            status = f"breakdown-{err.kind}"
+            status = _status(err)
         return ",".join(
             [scheme, _fmt(kappa), str(args.rows), str(args.cols), _fmt(loo),
              _fmt(rre), str(led.reductions), status]
@@ -151,7 +170,7 @@ def _make_operator(args, need_square=True):
 
 def _arnoldi_reports(op, start, scheme, steps, stride):
     """Expand step by step; report (StabilityReport, reductions, status) at
-    every stride-th step, the last step and the step a breakdown ends."""
+    every stride-th step, the last step and the step an error ends."""
     led = SyncLedger()
     out = []
     exp = arnoldi(op, start, scheme, capacity=steps + 1, ledger=led)
@@ -168,10 +187,10 @@ def _arnoldi_reports(op, start, scheme, steps, stride):
                 out.append((rep, led.reductions, "ok" if alive else "happy-breakdown"))
             if not alive:
                 break
-    except BreakdownError as err:
+    except _RUN_ERRORS as err:
         nan = float("nan")
         rep = StabilityReport(scheme=scheme, step=step, loo=nan, rre=nan)
-        out.append((rep, led.reductions, f"breakdown-{err.kind}"))
+        out.append((rep, led.reductions, _status(err)))
     return out
 
 
@@ -201,7 +220,7 @@ def _cmd_arnoldi_stability(args):
         "scheme,step,loo,rre,reductions,status",
         rows,
     )
-    return 0
+    return _exit_code(rows)
 
 
 def _cmd_eig(args):
@@ -223,20 +242,16 @@ def _cmd_eig(args):
         )
         try:
             res = krylov_schur_run(op, cfg, seed=seed, exact=table)
-        except BreakdownError as err:
-            return ",".join(
-                [scheme, str(restart), "-1", "-1", "0", f"breakdown-{err.kind}"]
-            )
-        rep = match_eigenvalues(res.values.real, table, args.tol)
+        except _RUN_ERRORS as err:
+            return ",".join([scheme, str(restart), "-1", "-1", "0", _status(err)])
         status = "over-multiplicity" if res.over_multiplicity else "ok"
         return ",".join(
-            [scheme, str(restart), str(rep.n_matched), str(res.invariant_dim),
+            [scheme, str(restart), str(res.n_matched), str(res.invariant_dim),
              str(res.restarts), status]
         )
 
     points = [(s, r) for s in schemes for r in restarts]
     rows = _run_points(points, worker, args.jobs)
-    code = 3 if any(row.endswith("over-multiplicity") for row in rows) else 0
     _emit(
         args,
         [("schemes", "|".join(schemes)), ("manteuffel_k", spec.k),
@@ -245,7 +260,7 @@ def _cmd_eig(args):
         "scheme,restart,n_converged_forward_error,invariant_subspace_dim,restarts_used,status",
         rows,
     )
-    return code
+    return _exit_code(rows)
 
 
 def _cmd_gmres(args):
@@ -285,11 +300,7 @@ def _cmd_gmres(args):
             )
         return out
 
-    try:
-        chunks = _run_points(schemes, worker, args.jobs)
-    except BreakdownError as err:
-        print(f"error: breakdown halted gmres run: {err}", file=sys.stderr)
-        return 4
+    chunks = _run_points(schemes, worker, args.jobs)
     rows = [row for chunk in chunks for row in chunk]
     _emit(
         args,
@@ -312,8 +323,6 @@ def _cmd_sync_count(args):
     for scheme in schemes:
         led = SyncLedger()
         qr_factorize(a, scheme, ledger=led)
-        if args.inject_off_by_one:
-            led.reductions += 1
         report = assert_matches(led, predicted_counts(scheme, args.cols))
         failed = failed or not report.passed
         rows.append(
@@ -360,7 +369,7 @@ def _cmd_mm_run(args):
         "scheme,step,loo,rre,loo_above_tol,rre_above_tol,status",
         rows,
     )
-    return 0
+    return _exit_code(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +434,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("--rows", type=int, default=5000)
     p.add_argument("--cols", type=int, default=50)
-    p.add_argument("--inject-off-by-one", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_sync_count)
 
     p = sub.add_parser("mm-run", help="Matrix Market stability methodology")
@@ -450,8 +457,8 @@ def main(argv=None):
     except MatrixMarketError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except BreakdownError as err:
-        print(f"error: breakdown halted the run: {err}", file=sys.stderr)
+    except _RUN_ERRORS as err:
+        print(f"error: {_status(err)} halted the run: {err}", file=sys.stderr)
         return 4
 
 

@@ -19,10 +19,10 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import arnoldi, resume_arnoldi
-from .errors import DimensionError, IterationLimitError
+from .errors import IterationLimitError
 from .kernels import mv_times_mat_add_mv, mv_trans_mv, norm2
 from .ledger import SyncLedger
-from .problems import CsrMatrix, LinearOperator
+from .problems import as_operator
 from .schur import (
     SchurForm,
     hessenberg_real_schur,
@@ -61,6 +61,7 @@ class EigResult:
     restarts: int
     incomplete: bool  # restart budget exhausted before the basis filled
     over_multiplicity: bool  # a value matched an exact eigenvalue already used up
+    n_matched: int  # values matched to the exact spectrum; None without one
     lock_history: list = field(default_factory=list)  # invariant dim per restart
 
 
@@ -149,7 +150,7 @@ def _fresh_direction(basis, rng, ledger):
         v = v[:, None]
         for _ in range(2):
             s = mv_trans_mv(basis, v, ledger=ledger)
-            mv_times_mat_add_mv(v, basis, s, sign=-1.0, ledger=ledger)
+            mv_times_mat_add_mv(v, basis, s, ledger=ledger)
         nrm = norm2(v[:, 0], ledger=ledger)
         if nrm > 1e-8:
             return v[:, 0] / nrm
@@ -166,10 +167,11 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     through them.  A reordering LAPACK cannot complete raises
     IterationLimitError.  ``exact`` is an optional EigenvalueTable: the
     reported values are matched against it once, after the last restart,
-    and a value whose nearest exact eigenvalue is used up sets the
-    over-multiplicity flag.  The locked corner is never rewritten, so this
-    match sees what a match at every restart would.  The returned
-    invariant dimension counts locked Schur vectors and never decreases.
+    within ``cfg.tol``; the result carries the matched count, and a value
+    whose nearest exact eigenvalue is used up sets the over-multiplicity
+    flag.  The locked corner is never rewritten, so this match sees what a
+    match at every restart would.  The returned invariant dimension counts
+    locked Schur vectors and never decreases.
     """
     m = op.shape[0]
     n_max = min(cfg.max_basis, m)
@@ -270,7 +272,7 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     values = np.where(tails, vals[cols].conj(), vals[cols])
     vectors = v_keep[:, :nlock] @ vecs[:, cols]
     vectors[:, tails] = vectors[:, tails].conj()
-    over = exact is not None and match_eigenvalues(values.real, exact, cfg.tol).over_multiplicity
+    match = None if exact is None else match_eigenvalues(values.real, exact, cfg.tol)
 
     return EigResult(
         values=values,
@@ -279,7 +281,8 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
         invariant_dim=nlock,
         restarts=restarts,
         incomplete=not done_full and restarts >= cfg.max_restarts,
-        over_multiplicity=over,
+        over_multiplicity=match is not None and match.over_multiplicity,
+        n_matched=None if match is None else match.n_matched,
         lock_history=lock_history,
     )
 
@@ -290,14 +293,8 @@ def eig_diagnostics(a, full=True, max_order=3000):
     With ``full`` the left/right eigenvector bases and per-eigenvalue
     condition numbers are included (cubic-cost dense eigendecomposition).
     """
-    if isinstance(a, LinearOperator):
-        a = a.to_dense(max_order=max_order)
-    elif isinstance(a, CsrMatrix):
-        a = a.to_dense()
-    a = np.asarray(a, dtype=np.float64)
+    a = as_operator(a).to_dense(max_order=max_order)
     n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise DimensionError(f"square matrix expected, got {a.shape}")
     if n > max_order:
         raise MemoryError(f"dense diagnostics of order {n} refused (limit {max_order})")
     sv = np.linalg.svd(a, compute_uv=False)

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .arnoldi import arnoldi
 from .ledger import SyncLedger
-from .problems import LinearOperator
+from .problems import as_operator
 
 
 @dataclass(frozen=True)
@@ -57,18 +57,14 @@ class GmresResult:
 def backward_error(op, x, b, residual=None):
     """Normwise backward error ||b - A x|| / (||A||_F ||x|| + ||b||).
 
-    ``residual``, when given, is b - A x already formed; it saves the apply.
+    ``op`` is anything ``problems.as_operator`` takes.  ``residual``, when
+    given, is b - A x already formed; it saves the apply.
     """
+    op = as_operator(op)
     x = np.asarray(x, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if isinstance(op, LinearOperator):
-        r = b - op.apply(x) if residual is None else residual
-        anorm = op.frobenius_norm()
-    else:
-        a = np.asarray(op, dtype=np.float64)
-        r = b - a @ x if residual is None else residual
-        anorm = float(np.linalg.norm(a))
-    denom = anorm * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
+    r = b - op.apply(x) if residual is None else residual
+    denom = op.frobenius_norm() * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(r) / denom)

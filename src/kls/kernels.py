@@ -6,7 +6,8 @@ fused-reduction contract is central: ``mv_trans_mv`` records exactly one
 reduction no matter how many columns it reduces, which is what the delayed
 schemes exploit.  A call with an empty basis block still records its
 reduction: per-iteration call patterns are static, so the closed-form totals
-count the degenerate first-column collectives too.
+count the degenerate first-column collectives too.  The update kernel
+``mv_times_mat_add_mv`` only subtracts, Y <- Y - B S, the one projection.
 
 All arithmetic is float64 and deterministic for fixed inputs: the
 summation order is fixed by the operand shapes, and results are
@@ -89,8 +90,8 @@ def mv_trans_mv(B, X, ledger=None):
     return out
 
 
-def mv_times_mat_add_mv(Y, B, S, sign=1.0, scale=1.0, ledger=None):
-    """Projection-style update Y <- scale*Y + sign*B@S, in place.
+def mv_times_mat_add_mv(Y, B, S, ledger=None):
+    """Projection update Y <- Y - B@S, in place.
 
     Records zero reductions.  Returns Y for convenience.
     """
@@ -106,11 +107,6 @@ def mv_times_mat_add_mv(Y, B, S, sign=1.0, scale=1.0, ledger=None):
             _ledger.MV_TIMES_MAT_ADD_MV,
             flops=2 * B.shape[0] * B.shape[1] * S.shape[1],
         )
-    if scale != 1.0:
-        Y *= scale
     if B.shape[1]:
-        if sign == -1.0:
-            Y -= B @ S  # the bits of Y + (-(B @ S)), one temporary fewer
-        else:
-            Y += sign * (B @ S)
+        Y -= B @ S  # the bits of Y + (-(B @ S)), one temporary fewer
     return Y

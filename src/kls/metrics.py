@@ -9,33 +9,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .problems import LinearOperator
-
-#: default evaluation stride for per-step metric sweeps
-DEFAULT_STRIDE = 5
+from .problems import as_operator
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """One evaluation point of a stability study.
-
-    Counting fields are optional (-1 when the study does not produce them);
-    ``kappa`` is the input conditioning for synthetic sweeps.
-    """
+    """One evaluation point of a stability study."""
 
     scheme: str
     step: int
     loo: float
     rre: float
-    n_forward_converged: int = -1
-    invariant_dim: int = -1
-    kappa: float = float("nan")
 
     def __post_init__(self):
         if self.loo < 0.0 or self.rre < 0.0:
             raise ValueError("metrics are non-negative")
-        if self.n_forward_converged > max(self.step, self.invariant_dim):
-            raise ValueError("converged count cannot exceed the step index")
 
 
 def loss_of_orthogonality(Q):
@@ -54,27 +42,12 @@ def representation_error_qr(A, Q, R):
     return float(np.linalg.norm(A - Q @ R) / denom)
 
 
-def _op_frobenius(op):
-    if isinstance(op, LinearOperator):
-        return op.frobenius_norm()
-    return float(np.linalg.norm(np.asarray(op, dtype=np.float64)))
-
-
-def _op_apply_block(op, X):
-    if isinstance(op, LinearOperator):
-        out = np.empty_like(X)
-        for j in range(X.shape[1]):
-            out[:, j] = op.apply(X[:, j])
-        return out
-    return np.asarray(op) @ X
-
-
 def representation_error_arnoldi(op, Q, H):
     """Relative expansion residual ||A Q_k - Q_{k+1} H||_F / ||A||_F.
 
     Q holds k+1 basis columns and H is the (k+1)-by-k extended Hessenberg
-    block; for matrix-free operators ||A||_F is the operator's probed
-    estimate.
+    block.  ``op`` is anything ``problems.as_operator`` takes; ||A||_F is
+    its exact Frobenius norm.
     """
     Q = np.asarray(Q, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -85,20 +58,12 @@ def representation_error_arnoldi(op, Q, H):
         )
     if k == 0:
         return 0.0
-    denom = _op_frobenius(op)
+    op = as_operator(op)
+    denom = op.frobenius_norm()
     if denom == 0.0:
         return 0.0
-    resid = _op_apply_block(op, Q[:, :k]) - Q @ H
-    return float(np.linalg.norm(resid) / denom)
-
-
-def forward_error_count(computed, table, tol):
-    """Number of computed eigenvalues matching the exact spectrum within tol.
-
-    Greedy nearest matching without exceeding exact multiplicities; see
-    ``eig.match_eigenvalues`` for the full report.
-    """
-    from .eig import match_eigenvalues
-
-    report = match_eigenvalues(computed, table, tol)
-    return report.n_matched
+    aq = np.empty_like(Q[:, :k])
+    for j in range(k):
+        aq[:, j] = op.apply(Q[:, j])
+    # out of place: the layout of the difference fixes the norm's summation order
+    return float(np.linalg.norm(aq - Q @ H) / denom)

@@ -13,6 +13,9 @@ basis storage, and every scheme builds and divides the basis vector there,
 whatever the layout of the pushed column.  ``finalize`` returns views of
 that storage, which is append-only.
 
+Every projection subtracts, Y <- Y - Q C (``kernels.mv_times_mat_add_mv``);
+``icwy-mgs`` projects through the one inverse compact WY factor (I + L)^-1.
+
 These states are the only implementation of each scheme: the Arnoldi
 expansion in ``arnoldi`` pushes operator images into them.
 
@@ -181,7 +184,7 @@ class CgsState(QrState):
         u, scale = self._take(a)
         Q = self.q
         s = mv_trans_mv(Q, u[:, None], ledger=self.ledger)[:, 0]
-        mv_times_mat_add_mv(u[:, None], Q, s[:, None], sign=-1.0, ledger=self.ledger)
+        mv_times_mat_add_mv(u[:, None], Q, s[:, None], ledger=self.ledger)
         alpha = norm2(u, ledger=self.ledger)
         self._guard(s, alpha, scale)
         self.npushed += 1
@@ -197,9 +200,9 @@ class Cgs2State(QrState):
         u, scale = self._take(a)
         Q, w = self.q, u[:, None]
         s = mv_trans_mv(Q, w, ledger=self.ledger)[:, 0]
-        mv_times_mat_add_mv(w, Q, s[:, None], sign=-1.0, ledger=self.ledger)
+        mv_times_mat_add_mv(w, Q, s[:, None], ledger=self.ledger)
         c = mv_trans_mv(Q, w, ledger=self.ledger)[:, 0]
-        mv_times_mat_add_mv(w, Q, c[:, None], sign=-1.0, ledger=self.ledger)
+        mv_times_mat_add_mv(w, Q, c[:, None], ledger=self.ledger)
         alpha = norm2(u, ledger=self.ledger)
         self._guard(s + c, alpha, scale)
         self.npushed += 1
@@ -223,12 +226,12 @@ class Cgs2LaggedState(QrState):
         Q = self.q
         s = mv_trans_mv(Q, u[:, None], ledger=self.ledger)[:, 0]
         w = self._q[:, j : j + 1]  # [Q, w] is then a view
-        mv_times_mat_add_mv(w, Q, s[:, None], sign=-1.0, ledger=self.ledger)
+        mv_times_mat_add_mv(w, Q, s[:, None], ledger=self.ledger)
         fused = mv_trans_mv(self._q[:, : j + 1], w, ledger=self.ledger)[:, 0]
         c, beta = fused[:j], fused[j]
         self._guard(s + c, float(np.sqrt(max(beta, 0.0))), scale)
         alpha = self._pythagorean_norm(beta, c, self.npushed)
-        mv_times_mat_add_mv(w, Q, c[:, None], sign=-1.0, ledger=self.ledger)
+        mv_times_mat_add_mv(w, Q, c[:, None], ledger=self.ledger)
         self.npushed += 1
         self._emit(s + c, alpha)
 
@@ -249,9 +252,7 @@ class MgsState(QrState):
         for i in range(j):
             qi = self._q[:, i]
             s[i] = dot(qi, u, ledger=self.ledger)
-            mv_times_mat_add_mv(
-                u[:, None], qi[:, None], [[s[i]]], sign=-1.0, ledger=self.ledger
-            )
+            mv_times_mat_add_mv(u[:, None], qi[:, None], [[s[i]]], ledger=self.ledger)
         alpha = norm2(u, ledger=self.ledger)
         self._guard(s, alpha, scale)
         self.npushed += 1
@@ -292,8 +293,7 @@ class _DelayedState(QrState):
             self._q[:, j] /= d
         if j:
             mv_times_mat_add_mv(
-                self._q[:, j : j + 1], self.q, coeffs[:, None], sign=-1.0,
-                ledger=self.ledger,
+                self._q[:, j : j + 1], self.q, coeffs[:, None], ledger=self.ledger
             )
         self.pending = coeffs
         self._pscale = scale  # norm of the pending column's input, breakdown guard
@@ -346,17 +346,15 @@ class IcwyMgsState(_DelayedState):
     exact squared norm together with the lagged row of the strictly lower
     triangular factor L and the raw projection coefficients of the incoming
     column.  The projection applies (I + L)^-1 through a unit triangular
-    solve; with ``symmetric=True`` the two-term correction T = I - L - L^T
-    is applied instead (the compact WY variant).  One reduction per column,
-    including the finalization norm of the last pending column.
+    solve.  One reduction per column, including the finalization norm of
+    the last pending column.
     """
 
     scheme_id = "icwy-mgs"
 
-    def __init__(self, m, n_cap, ledger=None, symmetric=False):
+    def __init__(self, m, n_cap, ledger=None):
         super().__init__(m, n_cap, ledger)
         self._l = np.zeros((n_cap, n_cap))
-        self.symmetric = symmetric
 
     def adopt(self, V):
         """Adopt orthonormal columns, seeding L with one fused Gram block."""
@@ -368,20 +366,14 @@ class IcwyMgsState(_DelayedState):
             self._l[sl, sl] = np.tril(g, -1)
 
     def _project(self, s):
-        """Apply the inverse (or symmetric) compact WY correction to s."""
+        """Apply the inverse compact WY correction (I + L)^-1 to s."""
         k = len(s)
-        L = self._l[:k, :k]
         if k == 0:
             return s
-        if self.symmetric:
-            y = s - L @ s - L.T @ s
-            self.ledger.add_flops(4 * k * k)
-        else:
-            y = scipy.linalg.solve_triangular(
-                np.eye(k) + L, s, lower=True, unit_diagonal=True
-            )
-            self.ledger.add_flops(k * k)
-        return y
+        self.ledger.add_flops(k * k)
+        return scipy.linalg.solve_triangular(
+            np.eye(k) + self._l[:k, :k], s, lower=True, unit_diagonal=True
+        )
 
     def _emit_pending(self, c, beta):
         # the pending column's Gram row against Q becomes the L row
@@ -414,7 +406,7 @@ class Dcgs2State(_DelayedState):
         self._guard(coeffs, float(np.sqrt(max(beta, 0.0))), self._pscale)
         alpha = self._pythagorean_norm(beta, c, j)
         w = self._q[:, j : j + 1]
-        mv_times_mat_add_mv(w, self.q, c[:, None], sign=-1.0, ledger=self.ledger)
+        mv_times_mat_add_mv(w, self.q, c[:, None], ledger=self.ledger)
         self._emit(coeffs, alpha)
         self.vector_correction = c
         return alpha
@@ -432,7 +424,7 @@ class Dcgs2State(_DelayedState):
         if self.pending is not None:
             Q, w = self.q, self._q[:, self.ncols : self.ncols + 1]
             c = mv_trans_mv(Q, w, ledger=self.ledger)[:, 0]
-            mv_times_mat_add_mv(w, Q, c[:, None], sign=-1.0, ledger=self.ledger)
+            mv_times_mat_add_mv(w, Q, c[:, None], ledger=self.ledger)
             self.pending = self.pending + c
         super().flush()
 
@@ -482,16 +474,16 @@ SCHEME_IDS = PUSH_SCHEMES + ("householder",)
 DELAYED_SCHEMES = tuple(s for s, cls in _STATES.items() if cls.delayed)
 
 
-def make_state(scheme, m, n_cap, ledger=None, **options):
+def make_state(scheme, m, n_cap, ledger=None):
     """Construct the push state for a scheme id."""
     try:
         cls = _STATES[scheme]
     except KeyError:
         raise UnknownSchemeError(f"unknown scheme {scheme!r}") from None
-    return cls(m, n_cap, ledger=ledger, **options)
+    return cls(m, n_cap, ledger=ledger)
 
 
-def qr_factorize(A, scheme, ledger=None, **options):
+def qr_factorize(A, scheme, ledger=None):
     """Factorize a full matrix with the chosen scheme; returns (Q, R).
 
     ``householder`` is handled directly (it is not left-looking); all other
@@ -504,7 +496,7 @@ def qr_factorize(A, scheme, ledger=None, **options):
         raise DimensionError(f"tall matrix expected, got {A.shape}")
     if scheme == "householder":
         return householder_qr(A, ledger=ledger)
-    state = make_state(scheme, A.shape[0], A.shape[1], ledger=ledger, **options)
+    state = make_state(scheme, A.shape[0], A.shape[1], ledger=ledger)
     for j in range(A.shape[1]):
         state.push(A[:, j])
     return state.finalize()

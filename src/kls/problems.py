@@ -15,7 +15,8 @@ from .errors import DimensionError, MatrixMarketError
 
 
 class LinearOperator:
-    """Square matrix action y = A x; subclasses implement ``_matvec``.
+    """Square matrix action y = A x; subclasses implement ``_matvec`` and
+    ``frobenius_norm``, the exact norm, cached in ``_fro``.
 
     ``napply`` counts applications (one per matvec), which the Arnoldi
     instrumentation asserts against.
@@ -53,22 +54,6 @@ class LinearOperator:
             e[j] = 0.0
         return out
 
-    def frobenius_norm(self, samples=64, seed=0):
-        """Frobenius norm, estimated once by probing sampled columns."""
-        if self._fro is None:
-            t = min(samples, self.n)
-            rng = np.random.Generator(np.random.PCG64(seed))
-            cols = rng.choice(self.n, size=t, replace=False)
-            e = np.zeros(self.n)
-            acc = 0.0
-            for j in cols:
-                e[j] = 1.0
-                y = self._matvec(e)
-                acc += float(y @ y)
-                e[j] = 0.0
-            self._fro = float(np.sqrt(acc * self.n / t))
-        return self._fro
-
 
 class DenseOperator(LinearOperator):
     def __init__(self, a):
@@ -84,7 +69,7 @@ class DenseOperator(LinearOperator):
     def to_dense(self, max_order=None):
         return self.a.copy()
 
-    def frobenius_norm(self, samples=None, seed=None):
+    def frobenius_norm(self):
         if self._fro is None:
             self._fro = float(np.linalg.norm(self.a))
         return self._fro
@@ -169,10 +154,20 @@ class CsrOperator(LinearOperator):
             )
         return self.csr.to_dense()
 
-    def frobenius_norm(self, samples=None, seed=None):
+    def frobenius_norm(self):
         if self._fro is None:
             self._fro = self.csr.frobenius_norm()
         return self._fro
+
+
+def as_operator(a):
+    """The LinearOperator of ``a``: an operator as given, a CsrMatrix as a
+    CsrOperator, and anything else as the DenseOperator of an array."""
+    if isinstance(a, LinearOperator):
+        return a
+    if isinstance(a, CsrMatrix):
+        return CsrOperator(a)
+    return DenseOperator(a)
 
 
 @dataclass(frozen=True)
@@ -327,7 +322,7 @@ class StencilLaplace3D(LinearOperator):
             np.concatenate(vals),
         )
 
-    def frobenius_norm(self, samples=None, seed=None):
+    def frobenius_norm(self):
         if self._fro is None:
             nx, ny, nz = self.dims
             edges = (
@@ -466,10 +461,8 @@ def parse_matrix_market(source):
     return CsrMatrix.from_coo(nrows, ncols, rows, cols, vals)
 
 
-def write_matrix_market(csr, target, symmetry="general", comment=None):
-    """Write CSR in coordinate real format (stored entries as-is)."""
-    if symmetry != "general":
-        raise ValueError("only general output is supported")
+def write_matrix_market(csr, target, comment=None):
+    """Write CSR in coordinate real general format (stored entries as-is)."""
     f = target if hasattr(target, "write") else open(target, "w", encoding="ascii")
     close = f is not target
     try:

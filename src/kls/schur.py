@@ -113,22 +113,19 @@ def move_blocks_front(form, selected):
     return int(moved) if info == 0 else 0
 
 
-def schur_eigenvectors(form, indices=None):
+def schur_eigenvectors(form):
     """Eigenvalues and eigenvectors from a real Schur form.
 
     Returns ``(values, Y)`` where column i of Y is a unit eigenvector of
-    Z T Z^T for values[i].  ``indices`` selects diagonal blocks (default
-    all); a 2x2 block contributes its eigenvalue with positive imaginary
-    part (the conjugate vector is the conjugate eigenvector).
+    Z T Z^T for values[i], one per diagonal block; a 2x2 block contributes
+    its eigenvalue with positive imaginary part (the conjugate vector is
+    the conjugate eigenvector).
 
     The vectors come from one back-substitution on the complex triangular
     form; a near-singular pivot T_ii - T_jj (a repeated eigenvalue) is
     raised to eps * max(||T||, |lambda|, 1), the standard safeguard.
     """
-    blocks = form.blocks()
     n = form.order
-    if indices is None:
-        indices = range(len(blocks))
     tc, zc = scipy.linalg.rsf2csf(form.t, form.z)
     lam = np.diag(tc)
     smin = _EPS * np.maximum(max(np.linalg.norm(form.t, ord=np.inf), 1.0), np.abs(lam))
@@ -141,7 +138,7 @@ def schur_eigenvectors(form, indices=None):
         x[i, i + 1 :] = -(tc[i, i + 1 :] @ x[i + 1 :, i + 1 :]) / piv
     cols = [
         start if size == 1 or lam[start].imag > 0 else start + 1
-        for start, size in (blocks[b] for b in indices)
+        for start, size in form.blocks()
     ]
     y = zc @ x[:, cols]
     return lam[cols], y / np.linalg.norm(y, axis=0)

@@ -157,6 +157,17 @@ def test_infinite_image_raises_typed_error(scheme, bad, rng):
     assert err.value.step == 4
 
 
+@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_raises_typed_error(scheme, bad):
+    start = np.ones(5)
+    start[2] = bad
+    with pytest.raises(NonFiniteError) as err:
+        arnoldi(DenseOperator(np.eye(5)), start, scheme, capacity=3)
+    assert err.value.scheme == scheme
+    assert err.value.step == 0
+
+
 def test_zero_start_rejected():
     with pytest.raises(ValueError):
         arnoldi(DenseOperator(np.eye(3)), np.zeros(3), "cgs2", capacity=3)

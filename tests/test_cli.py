@@ -54,19 +54,23 @@ def test_qr_stability_jobs_deterministic(tmp_path):
     assert a == b
 
 
-def test_sync_count_pass_and_inject(tmp_path):
-    code, text = run_csv(
-        tmp_path, ["sync-count", "--rows", "400", "--cols", "16", "--seed", "2"]
-    )
+def test_sync_count_pass_and_inject(tmp_path, monkeypatch):
+    import dataclasses
+
+    import kls.cli
+
+    args = ["sync-count", "--rows", "400", "--cols", "16", "--seed", "2"]
+    code, text = run_csv(tmp_path, args)
     assert code == 0
     assert all(r.endswith("pass") for r in rows_of(text)[1:])
 
-    code, text = run_csv(
-        tmp_path,
-        ["sync-count", "--rows", "400", "--cols", "16", "--seed", "2",
-         "--inject-off-by-one"],
-    )
-    assert code == 3  # negative control: forced off-by-one must fail
+    def off_by_one(scheme, n, predict=kls.cli.predicted_counts):
+        p = predict(scheme, n)
+        return dataclasses.replace(p, total_synchs=p.total_synchs + 1)
+
+    monkeypatch.setattr(kls.cli, "predicted_counts", off_by_one)
+    code, text = run_csv(tmp_path, args)
+    assert code == 3  # negative control: a prediction off by one must fail
     assert any(r.endswith("FAIL") for r in rows_of(text)[1:])
 
 
@@ -247,6 +251,53 @@ def test_breakdown_row_reports_its_step(tmp_path, monkeypatch, command):
     assert code == 0
     rows = [r.split(",") for r in rows_of(text)[1:]]
     assert [(r[1], r[-1]) for r in rows] == [("5", "ok"), ("7", "breakdown-pythagorean")]
+
+
+def _nan_mtx(tmp_path):
+    """A Manteuffel k=3 matrix with one NaN entry, as a Matrix Market file."""
+    from kls.problems import ManteuffelSpec, manteuffel_build, write_matrix_market
+
+    csr = manteuffel_build(ManteuffelSpec(k=3))
+    csr.data[4] = np.nan
+    path = tmp_path / "nan.mtx"
+    write_matrix_market(csr, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["arnoldi-stability", "mm-run"])
+def test_nonfinite_row_reports_its_step_and_exits_4(tmp_path, command):
+    # the first operator image holds the NaN, so every scheme stops at step 1
+    schemes = ["cgs2", "dcgs2", "householder"]
+    code, text = run_csv(
+        tmp_path,
+        [command, "--mtx", _nan_mtx(tmp_path), "--steps", "8", "--stride", "5",
+         "--seed", "2"] + [arg for s in schemes for arg in ("--scheme", s)],
+    )
+    assert code == 4
+    rows = [r.split(",") for r in rows_of(text)[1:]]
+    assert [(r[0], r[1], r[-1]) for r in rows] == [(s, "1", "nonfinite") for s in schemes]
+
+
+def test_gmres_nonfinite_start_exits_4(tmp_path, capsys):
+    # b = A 1 holds the NaN, and so does the start vector of the first cycle
+    code = main(["gmres", "--mtx", _nan_mtx(tmp_path), "--steps", "4",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 4
+    assert "nonfinite" in capsys.readouterr().err
+
+
+def test_eig_iteration_limit_row_exits_4(tmp_path, monkeypatch):
+    # LAPACK reports a reorder it cannot make by moving nothing
+    import kls.eig
+
+    monkeypatch.setattr(kls.eig, "move_blocks_front", lambda form, selected: 0)
+    code, text = run_csv(
+        tmp_path,
+        ["eig", "--manteuffel-k", "4", "--restart-list", "10", "--scheme", "cgs2",
+         "--seed", "1"],
+    )
+    assert code == 4
+    assert rows_of(text)[1:] == ["cgs2,10,-1,-1,0,iteration-limit"]
 
 
 def test_qr_stability_builds_each_matrix_once(tmp_path, monkeypatch):

@@ -112,6 +112,7 @@ def test_diagonal_operator_full_spectrum():
     res = krylov_schur_run(op, cfg, seed=42)
     assert res.invariant_dim == 10
     assert not res.incomplete
+    assert res.n_matched is None  # no exact spectrum to match against
     assert np.allclose(np.sort(res.values.real), np.arange(1.0, 11.0), atol=1e-12)
 
 
@@ -126,6 +127,7 @@ def test_manteuffel_k5_exact_multiplicities(scheme):
     assert not res.over_multiplicity
     rep = match_eigenvalues(res.values.real, table, 1e-7)
     assert rep.n_matched == 25  # full spectrum with exact multiplicities
+    assert res.n_matched == 25
 
 
 def test_reported_values_pass_residual_recompute():

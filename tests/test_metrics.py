@@ -5,7 +5,6 @@ from kls.arnoldi import arnoldi_expand
 from kls.dense import householder_qr, random_orthogonal
 from kls.errors import DimensionError
 from kls.metrics import (
-    forward_error_count,
     loss_of_orthogonality,
     representation_error_arnoldi,
     representation_error_qr,
@@ -14,7 +13,6 @@ from kls.problems import (
     CsrOperator,
     ManteuffelSpec,
     manteuffel_build,
-    manteuffel_eigenvalues,
 )
 
 
@@ -80,26 +78,12 @@ def test_rre_arnoldi_shape_guard(rng):
         representation_error_arnoldi(np.eye(4), np.ones((4, 3)), np.ones((3, 3)))
 
 
-def test_forward_error_count_trivial():
-    spec = ManteuffelSpec(k=3)
-    table = manteuffel_eigenvalues(spec)
-    assert forward_error_count(table.values.copy(), table, 1e-7) == 9
-    assert forward_error_count(np.zeros(0), table, 1e-7) == 0
-
-
 def test_stability_report_validation():
     from kls.metrics import StabilityReport
 
     rep = StabilityReport(scheme="dcgs2", step=10, loo=1e-15, rre=1e-16)
-    assert rep.n_forward_converged == -1
+    assert rep.loo == 1e-15 and rep.rre == 1e-16
     with pytest.raises(ValueError):
         StabilityReport(scheme="cgs", step=5, loo=-1.0, rre=0.0)
     with pytest.raises(ValueError):
-        StabilityReport(
-            scheme="cgs", step=5, loo=0.0, rre=0.0, n_forward_converged=9
-        )
-    ok = StabilityReport(
-        scheme="cgs2", step=25, loo=0.0, rre=0.0,
-        n_forward_converged=20, invariant_dim=22, kappa=1e4,
-    )
-    assert ok.invariant_dim == 22
+        StabilityReport(scheme="cgs", step=5, loo=0.0, rre=-1.0)

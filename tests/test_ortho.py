@@ -215,13 +215,6 @@ def test_icwy_tracks_mgs_on_kappa_sweep():
         assert li <= 10.0 * max(lm, 1e-15)
 
 
-def test_icwy_symmetric_variant_moderate_kappa():
-    a = synthetic_kappa(100, 15, 1e4, seed=8)
-    q, r = qr_factorize(a, "icwy-mgs", symmetric=True)
-    assert loss_of_orthogonality(q) <= 1e-10
-    assert representation_error_qr(a, q, r) <= 1e-13
-
-
 def test_dcgs2_hand_worked_step():
     # one finalized basis vector, pending column [3, 4, 1]
     state = Dcgs2State(3, 3)

@@ -201,16 +201,6 @@ def test_laplace_frobenius_exact():
     )
 
 
-def test_operator_probe_estimate():
-    # the generic sampled-column probe lands near the exact Frobenius norm
-    from kls.problems import LinearOperator
-
-    op = laplace3d(6, 6, 6)
-    exact = np.linalg.norm(op.to_csr().to_dense())
-    probed = LinearOperator.frobenius_norm(op, samples=64, seed=1)
-    assert probed == pytest.approx(exact, rel=0.25)
-
-
 def test_operator_apply_counts():
     op = laplace3d(2, 2, 2)
     op.apply(np.ones(8))

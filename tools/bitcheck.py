@@ -9,9 +9,11 @@ on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 resumed from a Hessenberg and from a dense coupling row, for every scheme;
 GMRES(30) on Manteuffel k=20 and Krylov-Schur on Manteuffel k=10, against
 the exact spectrum and against it with every multiplicity cut to 1 (which
-raises the over-multiplicity flag), for cgs2 and dcgs2; and
-the generators: the CSR arrays of Manteuffel k=10 and k=200, and 2000x50
-``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12.
+raises the over-multiplicity flag), for cgs2 and dcgs2; the generators: the
+CSR arrays of Manteuffel k=10 and k=200, and 2000x50 ``synthetic_kappa``
+matrices at kappa 1e0, 1e4, 1e8 and 1e12; and one small run of each
+``kls-bench`` subcommand, its stdout bytes and exit code (``mm-run`` reads
+``tests/data/good_square_asym.mtx`` of the checkout).
 Each case also records the ledger's reductions, flops and kernel counts.
 ``compare`` prints ``N cases, D differ: [...]``, then one line per
 differing case with the largest absolute difference over its arrays and
@@ -22,21 +24,36 @@ checkout, in its own process.  Load only dumps this script wrote: unpickling
 runs code.
 """
 
+import contextlib
+import io
 import os
 import pickle
 import sys
+
+#: small runs of each subcommand, with the working directory at the checkout
+CLI_RUNS = (
+    ("qr-stability", "--kappa-list", "1e0,1e8", "--rows", "60", "--cols", "8", "--seed", "9"),
+    ("arnoldi-stability", "--manteuffel-k", "6", "--steps", "20", "--stride", "5", "--seed", "4"),
+    ("eig", "--manteuffel-k", "4", "--restart-list", "8,12", "--max-restarts", "6", "--seed", "1"),
+    ("gmres", "--laplace-dims", "6,6,6", "--steps", "12", "--restart", "5", "--seed", "3"),
+    ("sync-count", "--rows", "400", "--cols", "16", "--seed", "2"),
+    ("mm-run", "--mtx", "tests/data/good_square_asym.mtx", "--steps", "3", "--stride", "1",
+     "--seed", "8"),
+)
 
 
 def dump(checkout, path):
     sys.path.insert(0, f"{checkout}/src")
     import numpy as np
+    from kls.cli import main
     from kls import (CsrOperator, DenseOperator, EigenvalueTable, GmresConfig, KrylovSchurConfig,
                      ManteuffelSpec, SyncLedger, arnoldi, arnoldi_expand, gmres_solve, krylov_schur_run,
                      manteuffel_build, manteuffel_eigenvalues, qr_factorize, resume_arnoldi,
                      synthetic_kappa)
     out = {}
-    variants = [(s, {}) for s in ("cgs", "cgs2", "cgs2-lagged", "mgs", "icwy-mgs", "dcgs2",
-                                  "dcgs2-hrt", "householder")] + [("icwy-mgs", {"symmetric": True})]
+    schemes = ("cgs", "cgs2", "cgs2-lagged", "mgs", "icwy-mgs", "dcgs2", "dcgs2-hrt",
+               "householder")
+    opt = "{}"  # the keys' former options field, so that older dumps still compare
 
     def run(key, fn):
         led = SyncLedger()
@@ -53,14 +70,14 @@ def dump(checkout, path):
         run(("problems", "kappa", kappa), lambda led: synthetic_kappa(2000, 50, kappa, 13))
     panel = np.random.Generator(np.random.PCG64(11)).standard_normal((2000, 40))
     for name, a in (("panel", panel), ("kappa", synthetic_kappa(1000, 30, 1e10, 3))):
-        for s, opt in variants:
-            run(("qr", name, s, str(opt)), lambda led: qr_factorize(a, s, ledger=led, **opt))
+        for s in schemes:
+            run(("qr", name, s, opt), lambda led: qr_factorize(a, s, ledger=led))
     m10 = CsrOperator(manteuffel_build(ManteuffelSpec(k=10)))
     start = np.random.Generator(np.random.PCG64(77)).standard_normal(m10.n)
 
-    def expand(op, x, s, steps, opt, led):  # every step's views, then finalize
+    def expand(op, x, s, steps, led):  # every step's views, then finalize
         op.napply, views = 0, []
-        exp = arnoldi(op, x, s, capacity=steps + 1, ledger=led, **opt)
+        exp = arnoldi(op, x, s, capacity=steps + 1, ledger=led)
         while exp.order < steps:
             alive = exp.step()
             views.append((alive, exp.basis.copy(), exp.basis_extended.copy(),
@@ -69,22 +86,22 @@ def dump(checkout, path):
                 break
         return exp.finalize(), views, op.napply, exp.happy
 
-    for s, opt in variants:
-        run(("arnoldi", "m10", s, str(opt)), lambda led: expand(m10, start, s, 40, opt, led))
-        run(("arnoldi", "eye7", s, str(opt)),
-            lambda led: expand(DenseOperator(np.eye(7)), np.ones(7), s, 6, opt, led))
+    for s in schemes:
+        run(("arnoldi", "m10", s, opt), lambda led: expand(m10, start, s, 40, led))
+        run(("arnoldi", "eye7", s, opt),
+            lambda led: expand(DenseOperator(np.eye(7)), np.ones(7), s, 6, led))
     v0, h0 = arnoldi_expand(m10, start, "cgs2", steps=10)
     dense = h0.copy()
     dense[10, :] = 0.3 * np.arange(1.0, 11.0)
     for row, hb in (("hessenberg", h0), ("dense", dense)):
-        for s, opt in variants:
+        for s in schemes:
             def resume(led):
                 m10.napply = 0
-                exp = resume_arnoldi(m10, v0, hb, s, capacity=30, ledger=led, **opt)
+                exp = resume_arnoldi(m10, v0, hb, s, capacity=30, ledger=led)
                 while exp.order < 25:
                     exp.step()
                 return exp.finalize(), m10.napply
-            run(("resume", row, s, str(opt)), resume)
+            run(("resume", row, s, opt), resume)
     m20 = CsrOperator(manteuffel_build(ManteuffelSpec(k=20)))
     b = np.random.Generator(np.random.PCG64(5)).standard_normal(m20.n)
     spec = ManteuffelSpec(k=10)
@@ -107,6 +124,20 @@ def dump(checkout, path):
                     r.over_multiplicity, r.restarts, r.incomplete, op.napply)
         run(("krylov-schur", s), lambda led: ks(exact, 100, led))
         run(("krylov-schur", s, "short"), lambda led: ks(short, 40, led))
+
+    def cli(argv, led):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(list(argv))
+        return text.getvalue().encode(), code
+
+    here = os.getcwd()
+    os.chdir(checkout)  # the mm-run path, and so its CSV header, is the same for every checkout
+    try:
+        for argv in CLI_RUNS:
+            run(("cli", argv[0]), lambda led: cli(argv, led))
+    finally:
+        os.chdir(here)
     with open(path, "wb") as f:
         pickle.dump(out, f)
 
