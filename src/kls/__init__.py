@@ -33,7 +33,6 @@ from .ledger import (
     predicted_counts,
 )
 from .metrics import (
-    StabilityReport,
     loss_of_orthogonality,
     representation_error_arnoldi,
     representation_error_qr,

@@ -1,10 +1,14 @@
 """Experiment command line: desk-scale stability and cost studies, CSV out.
 
-Every CSV starts with ``#`` comment lines carrying the library version and
-the full configuration, so a data file regenerates bit-for-bit from its own
-header.  Exit codes: 0 success, 2 configuration error, 3 assertion
-failure (sync-count mismatch, over-multiplicity), 4 a numerical failure
-halted a run.
+Every subcommand is a sweep over points (a scheme, or a scheme and a swept
+value).  ``main`` resolves the seed and the default schemes; the
+subcommand's worker turns one point into rows of fields; ``_sweep`` runs
+the points, on ``--jobs`` threads for any subcommand, writes the CSV and
+derives the exit code from the row statuses.  Every CSV starts with ``#``
+comment lines carrying the library version and the full configuration, so
+a data file regenerates bit-for-bit from its own header.  Exit codes: 0
+success, 2 configuration error, 3 assertion failure (a sync-count ``FAIL``
+or an ``over-multiplicity`` row), 4 a numerical failure halted a run.
 """
 
 import argparse
@@ -20,12 +24,7 @@ from .eig import KrylovSchurConfig, krylov_schur_run
 from .errors import BreakdownError, IterationLimitError, MatrixMarketError, NonFiniteError
 from .gmres import GmresConfig, gmres_solve
 from .ledger import SyncLedger, assert_matches, predicted_counts
-from .metrics import (
-    StabilityReport,
-    loss_of_orthogonality,
-    representation_error_arnoldi,
-    representation_error_qr,
-)
+from .metrics import loss_of_orthogonality, representation_error_arnoldi, representation_error_qr
 from .ortho import PUSH_SCHEMES, SCHEME_IDS, qr_factorize
 from .problems import (
     CsrOperator,
@@ -61,32 +60,6 @@ def _resolve_seed(args):
     return DEFAULT_SEED
 
 
-def _emit(args, header_pairs, columns, rows):
-    lines = [f"# kls-bench {__version__}", f"# subcommand: {args.command}"]
-    for key, val in header_pairs:
-        lines.append(f"# {key}: {val}")
-    lines.append(columns)
-    lines.extend(rows)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _run_points(points, worker, jobs):
-    """Evaluate sweep points, deterministically ordered regardless of jobs."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, points))
-    return [worker(pt) for pt in points]
-
-
-#: the typed numerical errors a run can end in, each reported as a row status
-_RUN_ERRORS = (BreakdownError, NonFiniteError, IterationLimitError)
-
-
 def _status(err):
     """The row status of a typed numerical error."""
     if isinstance(err, BreakdownError):
@@ -94,12 +67,8 @@ def _status(err):
     return "nonfinite" if isinstance(err, NonFiniteError) else "iteration-limit"
 
 
-def _exit_code(rows):
-    """4 when a numerical failure halted a run, 3 on an over-multiplicity
-    row, else 0."""
-    if any(row.endswith(("nonfinite", "iteration-limit")) for row in rows):
-        return 4
-    return 3 if any(row.endswith("over-multiplicity") for row in rows) else 0
+#: the typed numerical errors a run can end in, each reported as a row status
+_RUN_ERRORS = (BreakdownError, NonFiniteError, IterationLimitError)
 
 
 def _fmt(x):
@@ -108,21 +77,48 @@ def _fmt(x):
     return str(x)
 
 
+def _sweep(args, header_pairs, columns, points, worker):
+    """Run ``worker`` on every point, write the CSV and return the exit code.
+
+    ``worker`` returns the rows of one point, each a tuple of fields whose
+    last is the row status; the rows keep the order of ``points`` whatever
+    ``--jobs``.  The header records ``args.scheme``, ``header_pairs`` and
+    ``args.seed``.  The exit code is 4 when a numerical failure halted a
+    run, 3 on an over-multiplicity or FAIL row, else 0.
+    """
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            chunks = list(pool.map(worker, points))
+    else:
+        chunks = [worker(point) for point in points]
+    rows = [row for chunk in chunks for row in chunk]
+    pairs = [("schemes", "|".join(args.scheme)), *header_pairs, ("seed", args.seed)]
+    lines = [f"# kls-bench {__version__}", f"# subcommand: {args.command}"]
+    lines += [f"# {key}: {val}" for key, val in pairs]
+    lines.append(columns)
+    lines += [",".join(_fmt(field) for field in row) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="ascii") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+    statuses = {row[-1] for row in rows}
+    if statuses & {"nonfinite", "iteration-limit"}:
+        return 4
+    return 3 if statuses & {"over-multiplicity", "FAIL"} else 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_qr_stability(args):
-    seed = _resolve_seed(args)
     kappas = _parse_list(args.kappa_list)
-    schemes = args.scheme or SCHEME_IDS
-
-    def build(kappa):
-        a = synthetic_kappa(args.rows, args.cols, kappa, seed)
-        a.flags.writeable = False  # one matrix per kappa, shared by every scheme
-        return a
-
-    matrices = dict(zip(kappas, _run_points(kappas, build, args.jobs)))
+    matrices = {}
+    for kappa in kappas:  # one matrix per kappa, shared by every scheme
+        matrices[kappa] = synthetic_kappa(args.rows, args.cols, kappa, args.seed)
+        matrices[kappa].flags.writeable = False
 
     def worker(point):
         scheme, kappa = point
@@ -130,37 +126,25 @@ def _cmd_qr_stability(args):
         led = SyncLedger()
         try:
             q, r = qr_factorize(a, scheme, ledger=led)
-            rep = StabilityReport(
-                scheme=scheme,
-                step=args.cols,
-                loo=loss_of_orthogonality(q),
-                rre=representation_error_qr(a, q, r),
-            )
-            loo, rre, status = rep.loo, rep.rre, "ok"
+            loo, rre, status = loss_of_orthogonality(q), representation_error_qr(a, q, r), "ok"
         except BreakdownError as err:
             loo = rre = float("nan")
             status = _status(err)
-        return ",".join(
-            [scheme, _fmt(kappa), str(args.rows), str(args.cols), _fmt(loo),
-             _fmt(rre), str(led.reductions), status]
-        )
+        return [(scheme, kappa, args.rows, args.cols, loo, rre, led.reductions, status)]
 
-    points = [(s, k) for s in schemes for k in kappas]
-    rows = _run_points(points, worker, args.jobs)
-    _emit(
+    return _sweep(
         args,
-        [("schemes", "|".join(schemes)), ("kappas", args.kappa_list),
-         ("rows", args.rows), ("cols", args.cols), ("seed", seed)],
+        [("kappas", args.kappa_list), ("rows", args.rows), ("cols", args.cols)],
         "scheme,kappa,m,n,loo,rre,reductions,status",
-        rows,
+        [(s, k) for s in args.scheme for k in kappas],
+        worker,
     )
-    return 0
 
 
-def _make_operator(args, need_square=True):
+def _make_operator(args):
     if args.mtx:
         csr = parse_matrix_market(args.mtx)
-        if need_square and csr.nrows != csr.ncols:
+        if csr.nrows != csr.ncols:
             print("error: matrix must be square", file=sys.stderr)
             raise SystemExit(2)
         return CsrOperator(csr), f"mtx:{args.mtx}"
@@ -169,7 +153,7 @@ def _make_operator(args, need_square=True):
 
 
 def _arnoldi_reports(op, start, scheme, steps, stride):
-    """Expand step by step; report (StabilityReport, reductions, status) at
+    """Expand step by step; report (step, loo, rre, reductions, status) at
     every stride-th step, the last step and the step an error ends."""
     led = SyncLedger()
     out = []
@@ -178,54 +162,35 @@ def _arnoldi_reports(op, start, scheme, steps, stride):
         for step in range(1, steps + 1):
             alive = exp.step()
             if step % stride == 0 or not alive or step == steps:
-                rep = StabilityReport(
-                    scheme=scheme,
-                    step=step,
-                    loo=loss_of_orthogonality(exp.basis),
-                    rre=representation_error_arnoldi(op, exp.basis_extended, exp.h_extended),
-                )
-                out.append((rep, led.reductions, "ok" if alive else "happy-breakdown"))
+                loo = loss_of_orthogonality(exp.basis)
+                rre = representation_error_arnoldi(op, exp.basis_extended, exp.h_extended)
+                out.append((step, loo, rre, led.reductions, "ok" if alive else "happy-breakdown"))
             if not alive:
                 break
     except _RUN_ERRORS as err:
         nan = float("nan")
-        rep = StabilityReport(scheme=scheme, step=step, loo=nan, rre=nan)
-        out.append((rep, led.reductions, _status(err)))
+        out.append((step, nan, nan, led.reductions, _status(err)))
     return out
 
 
 def _cmd_arnoldi_stability(args):
-    seed = _resolve_seed(args)
-    schemes = args.scheme or SCHEME_IDS
     op, problem = _make_operator(args)
     steps = min(args.steps, op.n - 1)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    start = rng.standard_normal(op.n)
+    start = np.random.Generator(np.random.PCG64(args.seed)).standard_normal(op.n)
 
     def worker(scheme):
-        return [
-            ",".join([scheme, str(rep.step), _fmt(rep.loo), _fmt(rep.rre),
-                      str(reductions), status])
-            for rep, reductions, status in _arnoldi_reports(
-                op, start, scheme, steps, args.stride
-            )
-        ]
+        return [(scheme, *rep) for rep in _arnoldi_reports(op, start, scheme, steps, args.stride)]
 
-    chunks = _run_points(schemes, worker, args.jobs)
-    rows = [row for chunk in chunks for row in chunk]
-    _emit(
+    return _sweep(
         args,
-        [("schemes", "|".join(schemes)), ("problem", problem),
-         ("steps", steps), ("stride", args.stride), ("seed", seed)],
+        [("problem", problem), ("steps", steps), ("stride", args.stride)],
         "scheme,step,loo,rre,reductions,status",
-        rows,
+        args.scheme,
+        worker,
     )
-    return _exit_code(rows)
 
 
 def _cmd_eig(args):
-    seed = _resolve_seed(args)
-    schemes = args.scheme or ["cgs", "mgs", "cgs2", "dcgs2"]
     restarts = _parse_list(args.restart_list, cast=int)
     spec = ManteuffelSpec(k=args.manteuffel_k, beta=args.beta)
     csr = manteuffel_build(spec)
@@ -233,7 +198,6 @@ def _cmd_eig(args):
 
     def worker(point):
         scheme, restart = point
-        op = CsrOperator(csr)
         cfg = KrylovSchurConfig(
             max_basis=restart,
             tol=args.tol,
@@ -241,31 +205,24 @@ def _cmd_eig(args):
             max_restarts=args.max_restarts,
         )
         try:
-            res = krylov_schur_run(op, cfg, seed=seed, exact=table)
+            res = krylov_schur_run(CsrOperator(csr), cfg, seed=args.seed, exact=table)
         except _RUN_ERRORS as err:
-            return ",".join([scheme, str(restart), "-1", "-1", "0", _status(err)])
+            # restarts_used reports the restart the error ended, when it names one
+            return [(scheme, restart, -1, -1, getattr(err, "restart", None) or 0, _status(err))]
         status = "over-multiplicity" if res.over_multiplicity else "ok"
-        return ",".join(
-            [scheme, str(restart), str(res.n_matched), str(res.invariant_dim),
-             str(res.restarts), status]
-        )
+        return [(scheme, restart, res.n_matched, res.invariant_dim, res.restarts, status)]
 
-    points = [(s, r) for s in schemes for r in restarts]
-    rows = _run_points(points, worker, args.jobs)
-    _emit(
+    return _sweep(
         args,
-        [("schemes", "|".join(schemes)), ("manteuffel_k", spec.k),
-         ("beta", spec.beta), ("restarts", args.restart_list),
-         ("tol", args.tol), ("max_restarts", args.max_restarts), ("seed", seed)],
+        [("manteuffel_k", spec.k), ("beta", spec.beta), ("restarts", args.restart_list),
+         ("tol", args.tol), ("max_restarts", args.max_restarts)],
         "scheme,restart,n_converged_forward_error,invariant_subspace_dim,restarts_used,status",
-        rows,
+        [(s, r) for s in args.scheme for r in restarts],
+        worker,
     )
-    return _exit_code(rows)
 
 
 def _cmd_gmres(args):
-    seed = _resolve_seed(args)
-    schemes = args.scheme or ["cgs2", "dcgs2"]
     if args.mtx:
         op, problem = _make_operator(args)
     else:
@@ -277,111 +234,87 @@ def _cmd_gmres(args):
     if args.be_stride < 0:
         print("error: --be-stride must be >= 0", file=sys.stderr)
         raise SystemExit(2)
-    ones = np.ones(op.n)
-    b = op.apply(ones)
+    b = op.apply(np.ones(op.n))
     b = b / np.linalg.norm(b)
 
     def worker(scheme):
-        led = SyncLedger()
         cfg = GmresConfig(max_iters=args.steps, restart=args.restart, scheme=scheme,
                           be_stride=args.be_stride)
-        res = gmres_solve(op, b, cfg, ledger=led)
+        res = gmres_solve(op, b, cfg)
         # rows without a recorded backward error leave its cell empty
         be = dict(zip(res.backward_error_iters.tolist(), res.backward_errors.tolist()))
-        out = []
-        for i in range(len(res.residual_history)):
-            out.append(
-                ",".join(
-                    [scheme, str(i + 1), _fmt(res.residual_history[i]),
-                     _fmt(be[i + 1]) if i + 1 in be else "",
-                     str(int(res.reduction_history[i])),
-                     "stagnated" if res.stagnated else "ok"]
-                )
+        status = "stagnated" if res.stagnated else "ok"
+        return [
+            (scheme, i, relres, be.get(i, ""), int(reductions), status)
+            for i, (relres, reductions) in enumerate(
+                zip(res.residual_history, res.reduction_history), start=1
             )
-        return out
+        ]
 
-    chunks = _run_points(schemes, worker, args.jobs)
-    rows = [row for chunk in chunks for row in chunk]
-    _emit(
+    return _sweep(
         args,
-        [("schemes", "|".join(schemes)), ("problem", problem),
-         ("iters", args.steps), ("restart", args.restart),
-         ("be_stride", args.be_stride), ("seed", seed)],
+        [("problem", problem), ("iters", args.steps), ("restart", args.restart),
+         ("be_stride", args.be_stride)],
         "scheme,iter,relres,backward_error,reductions,status",
-        rows,
+        args.scheme,
+        worker,
     )
-    return 0
 
 
 def _cmd_sync_count(args):
-    seed = _resolve_seed(args)
-    schemes = args.scheme or PUSH_SCHEMES
-    rng = np.random.Generator(np.random.PCG64(seed))
-    a = rng.standard_normal((args.rows, args.cols))
-    rows = []
-    failed = False
-    for scheme in schemes:
+    a = np.random.Generator(np.random.PCG64(args.seed)).standard_normal((args.rows, args.cols))
+
+    def worker(scheme):
         led = SyncLedger()
         qr_factorize(a, scheme, ledger=led)
-        report = assert_matches(led, predicted_counts(scheme, args.cols))
-        failed = failed or not report.passed
-        rows.append(
-            ",".join(
-                [scheme, str(args.cols), str(args.rows), str(report.measured),
-                 str(report.predicted), str(report.slack), str(report.delta),
-                 "pass" if report.passed else "FAIL"]
-            )
-        )
-    _emit(
+        rep = assert_matches(led, predicted_counts(scheme, args.cols))
+        return [(scheme, args.cols, args.rows, rep.measured, rep.predicted, rep.slack,
+                 rep.delta, "pass" if rep.passed else "FAIL")]
+
+    return _sweep(
         args,
-        [("schemes", "|".join(schemes)), ("rows", args.rows),
-         ("cols", args.cols), ("seed", seed)],
+        [("rows", args.rows), ("cols", args.cols)],
         "scheme,n,m,measured,predicted,slack,delta,status",
-        rows,
+        args.scheme,
+        worker,
     )
-    return 3 if failed else 0
 
 
 def _cmd_mm_run(args):
-    seed = _resolve_seed(args)
-    schemes = args.scheme or SCHEME_IDS
     op, problem = _make_operator(args)
     steps = min(args.steps, op.n - 1)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    start = rng.standard_normal(op.n)
+    start = np.random.Generator(np.random.PCG64(args.seed)).standard_normal(op.n)
 
     def worker(scheme):
         # a breakdown row reports nan metrics, which count as above tol
-        return [
-            ",".join([scheme, str(rep.step), _fmt(rep.loo), _fmt(rep.rre),
-                      str(int(not rep.loo <= args.tol)),
-                      str(int(not rep.rre <= args.tol)), status])
-            for rep, _, status in _arnoldi_reports(op, start, scheme, steps, args.stride)
-        ]
+        reports = _arnoldi_reports(op, start, scheme, steps, args.stride)
+        return [(scheme, step, loo, rre, int(not loo <= args.tol), int(not rre <= args.tol), status)
+                for step, loo, rre, _, status in reports]
 
-    chunks = _run_points(schemes, worker, args.jobs)
-    rows = [row for chunk in chunks for row in chunk]
-    _emit(
+    return _sweep(
         args,
-        [("schemes", "|".join(schemes)), ("problem", problem),
-         ("steps", steps), ("stride", args.stride), ("tol", args.tol),
-         ("seed", seed)],
+        [("problem", problem), ("steps", steps), ("stride", args.stride), ("tol", args.tol)],
         "scheme,step,loo,rre,loo_above_tol,rre_above_tol,status",
-        rows,
+        args.scheme,
+        worker,
     )
-    return _exit_code(rows)
 
 
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--scheme", action="append", choices=SCHEME_IDS,
+def _subcommand(sub, name, summary, func, schemes, choices=SCHEME_IDS):
+    """A subparser with the options every sweep takes; ``schemes`` is the
+    default of ``--scheme``."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--scheme", action="append", choices=choices,
                    help="orthogonalization scheme (repeatable)")
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default ${SEED_ENV} or {DEFAULT_SEED})")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    p.set_defaults(func=func, default_schemes=schemes)
+    return p
 
 
 def build_parser():
@@ -392,66 +325,58 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("qr-stability", help="QR loss of orthogonality over a condition-number sweep")
-    _add_common(p)
+    p = _subcommand(sub, "qr-stability", "QR loss of orthogonality over a condition-number sweep",
+                    _cmd_qr_stability, SCHEME_IDS)
     p.add_argument("--kappa-list", default="1e0,1e2,1e4,1e6,1e8,1e10,1e12")
     p.add_argument("--rows", type=int, default=200)
     p.add_argument("--cols", type=int, default=50)
-    p.set_defaults(func=_cmd_qr_stability)
 
-    p = sub.add_parser("arnoldi-stability", help="per-step Arnoldi metrics")
-    _add_common(p)
+    p = _subcommand(sub, "arnoldi-stability", "per-step Arnoldi metrics",
+                    _cmd_arnoldi_stability, SCHEME_IDS)
     p.add_argument("--manteuffel-k", type=int, default=50)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--mtx", default=None)
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--stride", type=int, default=5)
-    p.set_defaults(func=_cmd_arnoldi_stability)
 
-    p = sub.add_parser("eig", help="Krylov-Schur restart sweep on the Manteuffel family")
-    _add_common(p)
+    p = _subcommand(sub, "eig", "Krylov-Schur restart sweep on the Manteuffel family",
+                    _cmd_eig, ("cgs", "mgs", "cgs2", "dcgs2"))
     p.add_argument("--manteuffel-k", type=int, default=10)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--restart-list", default="25,50,75")
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--max-restarts", type=int, default=40)
-    p.set_defaults(func=_cmd_eig)
 
-    p = sub.add_parser("gmres", help="GMRES convergence and reduction counting")
-    _add_common(p)
+    p = _subcommand(sub, "gmres", "GMRES convergence and reduction counting",
+                    _cmd_gmres, ("cgs2", "dcgs2"))
     p.add_argument("--laplace-dims", default="24,24,24")
     p.add_argument("--mtx", default=None)
-    p.add_argument("--manteuffel-k", type=int, default=50)
-    p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--restart", type=int, default=0)
     p.add_argument("--be-stride", type=int, default=0,
                    help="also record the backward error every N iterations "
                         "(0: only at the end of each restart cycle)")
-    p.set_defaults(func=_cmd_gmres)
 
-    p = sub.add_parser("sync-count", help="measured vs predicted reduction totals")
-    _add_common(p)
+    # the predicted totals cover the push schemes only
+    p = _subcommand(sub, "sync-count", "measured vs predicted reduction totals",
+                    _cmd_sync_count, PUSH_SCHEMES, choices=PUSH_SCHEMES)
     p.add_argument("--rows", type=int, default=5000)
     p.add_argument("--cols", type=int, default=50)
-    p.set_defaults(func=_cmd_sync_count)
 
-    p = sub.add_parser("mm-run", help="Matrix Market stability methodology")
-    _add_common(p)
+    p = _subcommand(sub, "mm-run", "Matrix Market stability methodology",
+                    _cmd_mm_run, SCHEME_IDS)
     p.add_argument("--mtx", required=True)
-    p.add_argument("--manteuffel-k", type=int, default=50)
-    p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=75)
     p.add_argument("--stride", type=int, default=5)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.set_defaults(func=_cmd_mm_run)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.seed = _resolve_seed(args)
+    args.scheme = args.scheme or args.default_schemes
     try:
         return args.func(args)
     except MatrixMarketError as err:

@@ -224,7 +224,8 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
             if (move_blocks_front(subform, sel) != p_active
                     or move_blocks_front(subform, lead) != conv_cols):
                 raise IterationLimitError(
-                    f"{cfg.scheme}: Schur reordering failed in restart {restarts + 1}"
+                    f"{cfg.scheme}: Schur reordering failed in restart {restarts + 1}",
+                    restart=restarts + 1,
                 )
 
             # lock the converged front and deflate its coupling

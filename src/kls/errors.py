@@ -33,7 +33,14 @@ class NonFiniteError(ValueError):
 
 
 class IterationLimitError(RuntimeError):
-    """An iterative kernel exceeded its sweep budget without converging."""
+    """An iterative kernel exceeded its sweep budget without converging.
+
+    ``restart`` is the 1-based Krylov-Schur restart it ended, when known.
+    """
+
+    def __init__(self, message, restart=None):
+        super().__init__(message)
+        self.restart = restart
 
 
 class UnknownSchemeError(ValueError):

@@ -103,8 +103,8 @@ class _GivensLS:
         self.ncols += 1
         return abs(self.rhs[j + 1])
 
-    def solve(self, ncols=None):
-        k = self.ncols if ncols is None else ncols
+    def solve(self):
+        k = self.ncols
         if k == 0:
             return np.zeros(0)
         diag = np.diag(self.r[:k, :k])

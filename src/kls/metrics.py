@@ -4,26 +4,10 @@ All metrics are pure evaluations outside the instrumented kernel path; they
 never touch a ledger.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError
 from .problems import as_operator
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """One evaluation point of a stability study."""
-
-    scheme: str
-    step: int
-    loo: float
-    rre: float
-
-    def __post_init__(self):
-        if self.loo < 0.0 or self.rre < 0.0:
-            raise ValueError("metrics are non-negative")
 
 
 def loss_of_orthogonality(Q):

@@ -1,10 +1,11 @@
+import argparse
 import os
 
 import numpy as np
 import pytest
 
 from conftest import data_path
-from kls.cli import main
+from kls.cli import build_parser, main
 from kls.problems import synthetic_kappa
 
 
@@ -297,7 +298,7 @@ def test_eig_iteration_limit_row_exits_4(tmp_path, monkeypatch):
          "--seed", "1"],
     )
     assert code == 4
-    assert rows_of(text)[1:] == ["cgs2,10,-1,-1,0,iteration-limit"]
+    assert rows_of(text)[1:] == ["cgs2,10,-1,-1,1,iteration-limit"]
 
 
 def test_qr_stability_builds_each_matrix_once(tmp_path, monkeypatch):
@@ -314,3 +315,54 @@ def test_qr_stability_builds_each_matrix_once(tmp_path, monkeypatch):
     assert code == 0
     assert len(rows_of(text)) == 1 + 8 * 7
     assert sorted(built) == [1e0, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12]
+
+
+def test_sync_count_takes_only_push_schemes():
+    # the predicted totals cover the push schemes only
+    with pytest.raises(SystemExit) as err:
+        main(["sync-count", "--scheme", "householder"])
+    assert err.value.code == 2
+
+
+def _subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+#: a small run of each subcommand
+WALK_RUNS = {
+    "qr-stability": ["--kappa-list", "1e0,1e4", "--rows", "30", "--cols", "4"],
+    "arnoldi-stability": ["--manteuffel-k", "4", "--steps", "6", "--stride", "3"],
+    "eig": ["--manteuffel-k", "4", "--restart-list", "8", "--max-restarts", "3"],
+    "gmres": ["--laplace-dims", "3,3,3", "--steps", "4"],
+    "sync-count": ["--rows", "30", "--cols", "4"],
+    "mm-run": ["--mtx", data_path("good_square_asym.mtx"), "--steps", "3", "--stride", "1"],
+}
+
+#: for each option, a value that differs from the one in every run above
+OTHER_VALUE = {
+    "--scheme": "cgs2", "--seed": "2", "--kappa-list": "1e0,1e6", "--rows": "31",
+    "--cols": "5", "--manteuffel-k": "5", "--beta": "0.25",
+    "--mtx": data_path("good_symmetric.mtx"), "--steps": "2", "--stride": "2",
+    "--restart-list": "10", "--tol": "1e-3", "--max-restarts": "2",
+    "--laplace-dims": "3,3,4", "--restart": "2", "--be-stride": "2", "--jobs": "2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_every_option_changes_the_csv(tmp_path, command):
+    # an option the run ignores leaves the CSV unchanged; --jobs must leave it so
+    base_args = [command, *WALK_RUNS[command]]
+    code, base = run_csv(tmp_path, base_args, "base.csv")
+    assert code == 0
+    ignored = []
+    for action in _subparsers()[command]._actions:
+        flag = action.option_strings[0] if action.option_strings else None
+        if flag in (None, "-h", "--out"):
+            continue
+        code, text = run_csv(tmp_path, base_args + [flag, OTHER_VALUE[flag]], "alt.csv")
+        assert code == 0, flag
+        if (text == base) != (flag == "--jobs"):
+            ignored.append(flag)
+    assert ignored == []

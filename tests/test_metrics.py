@@ -76,14 +76,3 @@ def test_rre_arnoldi_no_incremental_drift(rng):
 def test_rre_arnoldi_shape_guard(rng):
     with pytest.raises(DimensionError):
         representation_error_arnoldi(np.eye(4), np.ones((4, 3)), np.ones((3, 3)))
-
-
-def test_stability_report_validation():
-    from kls.metrics import StabilityReport
-
-    rep = StabilityReport(scheme="dcgs2", step=10, loo=1e-15, rre=1e-16)
-    assert rep.loo == 1e-15 and rep.rre == 1e-16
-    with pytest.raises(ValueError):
-        StabilityReport(scheme="cgs", step=5, loo=-1.0, rre=0.0)
-    with pytest.raises(ValueError):
-        StabilityReport(scheme="cgs", step=5, loo=0.0, rre=-1.0)

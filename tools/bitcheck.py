@@ -3,7 +3,7 @@
     python tools/bitcheck.py dump CHECKOUT OUT.pkl
     python tools/bitcheck.py compare A.pkl B.pkl
 
-``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 66
+``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 70
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 resumed from a Hessenberg and from a dense coupling row, for every scheme;
@@ -12,7 +12,9 @@ the exact spectrum and against it with every multiplicity cut to 1 (which
 raises the over-multiplicity flag), for cgs2 and dcgs2; the generators: the
 CSR arrays of Manteuffel k=10 and k=200, and 2000x50 ``synthetic_kappa``
 matrices at kappa 1e0, 1e4, 1e8 and 1e12; and one small run of each
-``kls-bench`` subcommand, its stdout bytes and exit code (``mm-run`` reads
+``kls-bench`` subcommand, its stdout bytes and exit code, plus ``gmres`` and
+``arnoldi-stability`` on a Matrix Market file and ``qr-stability`` and
+``sync-count`` with ``--jobs 2`` (the file runs read
 ``tests/data/good_square_asym.mtx`` of the checkout).
 Each case also records the ledger's reductions, flops and kernel counts.
 ``compare`` prints ``N cases, D differ: [...]``, then one line per
@@ -30,6 +32,8 @@ import os
 import pickle
 import sys
 
+MTX = "tests/data/good_square_asym.mtx"
+
 #: small runs of each subcommand, with the working directory at the checkout
 CLI_RUNS = (
     ("qr-stability", "--kappa-list", "1e0,1e8", "--rows", "60", "--cols", "8", "--seed", "9"),
@@ -37,8 +41,15 @@ CLI_RUNS = (
     ("eig", "--manteuffel-k", "4", "--restart-list", "8,12", "--max-restarts", "6", "--seed", "1"),
     ("gmres", "--laplace-dims", "6,6,6", "--steps", "12", "--restart", "5", "--seed", "3"),
     ("sync-count", "--rows", "400", "--cols", "16", "--seed", "2"),
-    ("mm-run", "--mtx", "tests/data/good_square_asym.mtx", "--steps", "3", "--stride", "1",
-     "--seed", "8"),
+    ("mm-run", "--mtx", MTX, "--steps", "3", "--stride", "1", "--seed", "8"),
+)
+
+#: more runs, keyed by subcommand and tag so that the keys of CLI_RUNS stay as they were
+CLI_VARIANTS = (
+    ("mtx", ("gmres", "--mtx", MTX, "--steps", "4")),
+    ("mtx", ("arnoldi-stability", "--mtx", MTX, "--steps", "3", "--stride", "1")),
+    ("jobs", CLI_RUNS[0] + ("--jobs", "2")),
+    ("jobs", CLI_RUNS[4] + ("--jobs", "2")),
 )
 
 
@@ -136,6 +147,8 @@ def dump(checkout, path):
     try:
         for argv in CLI_RUNS:
             run(("cli", argv[0]), lambda led: cli(argv, led))
+        for tag, argv in CLI_VARIANTS:
+            run(("cli", argv[0], tag), lambda led: cli(argv, led))
     finally:
         os.chdir(here)
     with open(path, "wb") as f:
