@@ -41,10 +41,24 @@ SEED_ENV = "KLS_DEFAULT_SEED"
 
 
 def _parse_list(text, cast=float):
-    try:
-        return [cast(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise SystemExit(2)
+    return [cast(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _list_of(cast):
+    """The argparse type of a comma-separated list of ``cast`` values: it
+    rejects a malformed list under its flag's name and keeps the text as
+    typed, which the CSV header records."""
+
+    def check(text):
+        try:
+            _parse_list(text, cast)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {cast.__name__} values, got {text!r}"
+            ) from None
+        return text
+
+    return check
 
 
 def _resolve_seed(args):
@@ -317,6 +331,18 @@ def _subcommand(sub, name, summary, func, schemes, choices=SCHEME_IDS):
     return p
 
 
+def _problem(p, *generators):
+    """Add ``--mtx`` and the generator flags, each ``(flag, type, default)``,
+    that it excludes: the file is the whole problem.  A generator flag
+    defaults to None here; ``main`` rejects one given with ``--mtx`` and
+    applies the defaults of the others."""
+    flags = ", ".join(flag for flag, _, _ in generators)
+    p.add_argument("--mtx", default=None, help=f"Matrix Market file (excludes {flags})")
+    for flag, kind, default in generators:
+        p.add_argument(flag, type=kind, default=None, help=f"default {default}; not with --mtx")
+    p.set_defaults(generators={flag: default for flag, _, default in generators})
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kls-bench",
@@ -327,15 +353,14 @@ def build_parser():
 
     p = _subcommand(sub, "qr-stability", "QR loss of orthogonality over a condition-number sweep",
                     _cmd_qr_stability, SCHEME_IDS)
-    p.add_argument("--kappa-list", default="1e0,1e2,1e4,1e6,1e8,1e10,1e12")
+    p.add_argument("--kappa-list", type=_list_of(float),
+                   default="1e0,1e2,1e4,1e6,1e8,1e10,1e12")
     p.add_argument("--rows", type=int, default=200)
     p.add_argument("--cols", type=int, default=50)
 
     p = _subcommand(sub, "arnoldi-stability", "per-step Arnoldi metrics",
                     _cmd_arnoldi_stability, SCHEME_IDS)
-    p.add_argument("--manteuffel-k", type=int, default=50)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--mtx", default=None)
+    _problem(p, ("--manteuffel-k", int, 50), ("--beta", float, 0.5))
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--stride", type=int, default=5)
 
@@ -343,14 +368,13 @@ def build_parser():
                     _cmd_eig, ("cgs", "mgs", "cgs2", "dcgs2"))
     p.add_argument("--manteuffel-k", type=int, default=10)
     p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--restart-list", default="25,50,75")
+    p.add_argument("--restart-list", type=_list_of(int), default="25,50,75")
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--max-restarts", type=int, default=40)
 
     p = _subcommand(sub, "gmres", "GMRES convergence and reduction counting",
                     _cmd_gmres, ("cgs2", "dcgs2"))
-    p.add_argument("--laplace-dims", default="24,24,24")
-    p.add_argument("--mtx", default=None)
+    _problem(p, ("--laplace-dims", _list_of(int), "24,24,24"))
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--restart", type=int, default=0)
     p.add_argument("--be-stride", type=int, default=0,
@@ -374,7 +398,14 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag, default in getattr(args, "generators", {}).items():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.mtx:
+            parser.error(f"argument {flag}: not allowed with argument --mtx")
     args.seed = _resolve_seed(args)
     args.scheme = args.scheme or args.default_schemes
     try:

@@ -164,12 +164,12 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     reorderings that follow are orthogonal, which leaves each residual
     |b^T y| unchanged, and keep the relative order within the moved group
     and within the rest, so the residuals and the locked front are carried
-    through them.  A reordering LAPACK cannot complete raises
-    IterationLimitError.  ``exact`` is an optional EigenvalueTable: the
-    reported values are matched against it once, after the last restart,
-    within ``cfg.tol``; the result carries the matched count, and a value
-    whose nearest exact eigenvalue is used up sets the over-multiplicity
-    flag.  The locked corner is never rewritten, so this match sees what a
+    through them.  A Schur iteration or a reordering LAPACK cannot complete
+    raises IterationLimitError, which names the restart.  ``exact`` is an
+    optional EigenvalueTable: the reported values are matched against it
+    once, after the last restart, within ``cfg.tol``; the result carries
+    the matched count, and a value whose nearest exact eigenvalue is used
+    up sets the over-multiplicity flag.  The locked corner is never rewritten, so this match sees what a
     match at every restart would.  The returned invariant dimension counts
     locked Schur vectors and never decreases.
     """
@@ -196,7 +196,11 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
         # Schur of the active block; locked leading corner stays untouched
         na = k - nlock
         if na > 0:
-            subform = _schur_active(mm[nlock:, nlock:])
+            try:
+                subform = _schur_active(mm[nlock:, nlock:])
+            except IterationLimitError as err:
+                err.restart = restarts + 1
+                raise
             sizes, resid = _block_residuals(subform.t, b_row[nlock:] @ subform.z)
             conv = resid < cfg.tol
 

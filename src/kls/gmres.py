@@ -71,14 +71,17 @@ def backward_error(op, x, b, residual=None):
 
 
 class _GivensLS:
-    """Incremental least squares min ||beta e1 - Hbar y|| via plane rotations."""
+    """Incremental least squares min ||beta e1 - Hbar y|| via plane rotations.
+
+    The rotations run on Python floats: the same IEEE operations as on
+    numpy scalars, without their per-operation overhead.
+    """
 
     def __init__(self, cap, beta):
         self.r = np.zeros((cap, cap))
-        self.cs = np.zeros(cap)
-        self.sn = np.zeros(cap)
-        self.rhs = np.zeros(cap + 1)
-        self.rhs[0] = beta
+        self.cs = []
+        self.sn = []
+        self.rhs = [float(beta)]
         self.ncols = 0
 
     def append(self, hcol, subdiag):
@@ -86,20 +89,23 @@ class _GivensLS:
         col = np.zeros(j + 2)
         col[: len(hcol)] = hcol
         col[j + 1] = subdiag
-        for i in range(j):
-            t = self.cs[i] * col[i] + self.sn[i] * col[i + 1]
-            col[i + 1] = -self.sn[i] * col[i] + self.cs[i] * col[i + 1]
+        col = col.tolist()
+        for i, (c, s) in enumerate(zip(self.cs, self.sn)):
+            t = c * col[i] + s * col[i + 1]
+            col[i + 1] = -s * col[i] + c * col[i + 1]
             col[i] = t
         rad = float(np.hypot(col[j], col[j + 1]))
         if rad == 0.0:
-            self.cs[j], self.sn[j] = 1.0, 0.0
+            c, s = 1.0, 0.0
         else:
-            self.cs[j], self.sn[j] = col[j] / rad, col[j + 1] / rad
+            c, s = col[j] / rad, col[j + 1] / rad
+        self.cs.append(c)
+        self.sn.append(s)
         col[j] = rad
         self.r[: j + 1, j] = col[: j + 1]
-        t = self.cs[j] * self.rhs[j]
-        self.rhs[j + 1] = -self.sn[j] * self.rhs[j]
-        self.rhs[j] = t
+        g = self.rhs[j]
+        self.rhs[j] = c * g
+        self.rhs.append(-s * g)
         self.ncols += 1
         return abs(self.rhs[j + 1])
 

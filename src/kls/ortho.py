@@ -6,7 +6,8 @@ column, ``finalize`` returns ``(Q, R)``.  The one-reduction schemes
 column between pushes and emit the previous basis vector instead, which is
 what lets them fuse all synchronizing work of a column into a single
 reduction.  The pending column lives in the next free column of the basis
-storage, so the fused left operand [Q, w] is a view.
+storage and the incoming column in the one after it, so both fused
+operands, [Q, w] and [w, a], are views.
 
 A push copies its column once, into the column's home in the column-major
 basis storage, and every scheme builds and divides the basis vector there,
@@ -263,12 +264,16 @@ class _DelayedState(QrState):
     """The one-reduction pipeline shared by the delayed schemes.
 
     A push completes the pending column j and projects the incoming column
-    in one fused reduction [Q, w]^T [w, a]; each scheme supplies how the
-    incoming coefficients follow from the reduction (``_incoming``).  The
-    pending column is emitted as held (``_emit_pending``, ``flush``) unless
-    the scheme reorthogonalizes it first, as dcgs2 does.  The first push
-    into an empty basis only stashes its column; a push into an adopted basis
-    with nothing pending primes with one projection.
+    in one fused reduction [Q, w]^T [w, a].  Both operands are views of the
+    basis storage, save a row-major copy of [w, a] at j = 0: there the
+    product is a gemv, whose rounding follows the layout of [w, a]; from
+    j = 1 it is a gemm, which rounds alike for either layout.  Each scheme
+    supplies how the incoming coefficients follow from the reduction
+    (``_incoming``).  The pending column is emitted as held
+    (``_emit_pending``, ``flush``) unless the scheme reorthogonalizes it
+    first, as dcgs2 does.  The first push into an empty basis only stashes
+    its column; a push into an adopted basis with nothing pending primes
+    with one projection.
 
     With ``pending_image=True`` the incoming column is the image of the
     unnormalized pending column rather than of its normalized form, as in
@@ -277,13 +282,6 @@ class _DelayedState(QrState):
     """
 
     delayed = True
-
-    def __init__(self, m, n_cap, ledger=None):
-        super().__init__(m, n_cap, ledger)
-        # the fused right operand [w, a]; row-major, the layout numpy gives
-        # two stacked columns.  BLAS rounds the product differently per
-        # layout, and the Krylov-Schur locking counts follow that rounding
-        self._wa = np.empty((m, 2))
 
     def _stash(self, coeffs, scale, d=1.0):
         """Hold the column at home, divided by d and projected by coeffs,
@@ -312,9 +310,9 @@ class _DelayedState(QrState):
                 s = self._project(mv_trans_mv(self.q, a[:, None], ledger=self.ledger)[:, 0])
             self._stash(s, scale)
             return
-        wa = self._wa
-        wa[:, 0] = self._q[:, j]
-        wa[:, 1] = a
+        wa = self._q[:, j : j + 2]  # [w, a]: the pending column and a, side by side
+        if not j:
+            wa = np.ascontiguousarray(wa)
         g = mv_trans_mv(self._q[:, : j + 1], wa, ledger=self.ledger)
         c, s = g[:j, 0], g[:j, 1]
         alpha = self._emit_pending(c, float(g[j, 0]))

@@ -330,6 +330,12 @@ def _subparsers():
     return action.choices
 
 
+def _without(args, flags):
+    """The flag-value pairs of ``args`` whose flag is not in ``flags``."""
+    pairs = zip(args[::2], args[1::2])
+    return [tok for pair in pairs if pair[0] not in (flags or ()) for tok in pair]
+
+
 #: a small run of each subcommand
 WALK_RUNS = {
     "qr-stability": ["--kappa-list", "1e0,1e4", "--rows", "30", "--cols", "4"],
@@ -353,16 +359,62 @@ OTHER_VALUE = {
 @pytest.mark.parametrize("command", sorted(_subparsers()))
 def test_every_option_changes_the_csv(tmp_path, command):
     # an option the run ignores leaves the CSV unchanged; --jobs must leave it so
+    parser = _subparsers()[command]
     base_args = [command, *WALK_RUNS[command]]
     code, base = run_csv(tmp_path, base_args, "base.csv")
     assert code == 0
     ignored = []
-    for action in _subparsers()[command]._actions:
+    for action in parser._actions:
         flag = action.option_strings[0] if action.option_strings else None
         if flag in (None, "-h", "--out"):
             continue
-        code, text = run_csv(tmp_path, base_args + [flag, OTHER_VALUE[flag]], "alt.csv")
+        args = base_args
+        if flag == "--mtx":  # --mtx runs without the generator flags it excludes
+            args = [command, *_without(WALK_RUNS[command], parser.get_default("generators"))]
+        code, text = run_csv(tmp_path, args + [flag, OTHER_VALUE[flag]], "alt.csv")
         assert code == 0, flag
         if (text == base) != (flag == "--jobs"):
             ignored.append(flag)
     assert ignored == []
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("qr-stability", "--kappa-list", "1e0,abc"),
+    ("eig", "--restart-list", "8,x"),
+    ("gmres", "--laplace-dims", "9,x,9"),
+])
+def test_malformed_list_names_its_flag(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as err:
+        main([command, flag, value])
+    assert err.value.code == 2
+    assert f"argument {flag}: expected comma-separated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("arnoldi-stability", "--manteuffel-k", "7"),
+    ("arnoldi-stability", "--beta", "0.1"),
+    ("gmres", "--laplace-dims", "9,9,9"),
+])
+def test_mtx_excludes_generator_flags(capsys, command, flag, value):
+    # the file is the whole problem: a generator flag next to it would be ignored
+    with pytest.raises(SystemExit) as err:
+        main([command, "--mtx", data_path("good_square_asym.mtx"), flag, value])
+    assert err.value.code == 2
+    assert f"argument {flag}: not allowed with argument --mtx" in capsys.readouterr().err
+
+
+def test_eig_schur_iteration_limit_names_its_restart(tmp_path, monkeypatch):
+    import kls.eig
+    from kls.errors import IterationLimitError
+
+    def fail(h):
+        raise IterationLimitError("Schur iteration did not converge")
+
+    monkeypatch.setattr(kls.eig, "hessenberg_real_schur", fail)
+    code, text = run_csv(
+        tmp_path,
+        ["eig", "--manteuffel-k", "4", "--restart-list", "10", "--scheme", "cgs2",
+         "--seed", "1"],
+    )
+    assert code == 4
+    assert rows_of(text)[1:] == ["cgs2,10,-1,-1,1,iteration-limit"]

@@ -278,6 +278,63 @@ def test_dcgs2_pending_invariant(rng):
     assert state.npushed == 2 and state.ncols == 1 and state.pending is not None
 
 
+def _dcgs2_fused_reductions(run):
+    """Call ``run``, which returns the state it ran, with
+    ``ortho.mv_trans_mv`` wrapped.  Returns that state and, per two-column
+    (fused) reduction, its pending index j, its right operand, its result
+    and the result on a row-major copy of the operand."""
+    import kls.ortho
+
+    inner, calls = kls.ortho.mv_trans_mv, []
+
+    def recording(B, X, ledger=None):
+        out = inner(B, X, ledger=ledger)
+        if X.shape[1] == 2:
+            calls.append((B.shape[1] - 1, X, out, inner(B, np.ascontiguousarray(X))))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kls.ortho, "mv_trans_mv", recording)
+        state = run()
+    return state, calls
+
+
+@pytest.mark.parametrize("case", ["qr-blocked", "arnoldi-manteuffel"])
+def test_dcgs2_fused_reduction_reads_the_basis_in_place(case, rng):
+    # from j = 1 the fused right operand [w, a] is a view of the basis
+    # storage, and it rounds exactly as a row-major copy of it would
+    from kls.arnoldi import arnoldi
+    from kls.kernels import _block_rows
+    from kls.problems import CsrOperator, ManteuffelSpec, manteuffel_build
+
+    if case == "qr-blocked":
+        m, n = 24000, 12
+        assert m > _block_rows(n, 2) and m > _block_rows(2, 2)  # row-blocked at every j
+        a = rng.standard_normal((m, n))
+
+        def run():
+            state = make_state("dcgs2", m, n)
+            for j in range(n):
+                state.push(a[:, j])
+            return state
+    else:
+        op = CsrOperator(manteuffel_build(ManteuffelSpec(k=10)))
+        n = 40
+
+        def run():
+            exp = arnoldi(op, rng.standard_normal(op.n), "dcgs2", capacity=n + 1)
+            for _ in range(n):
+                exp.step()
+            return exp.state
+
+    state, calls = _dcgs2_fused_reductions(run)
+    later = [call for call in calls if call[0] >= 1]
+    assert len(later) >= n - 3
+    for j, wa, out, row_major in later:
+        assert np.shares_memory(wa, state._q), j
+        assert np.array_equal(out, row_major), j
+
+
 def test_pythagorean_alpha_matches_direct_norm(rng):
     # in the no-cancellation regime the lagged norm equals the direct norm
     a = synthetic_kappa(100, 20, 1e3, seed=23)
