@@ -334,13 +334,16 @@ def _subcommand(sub, name, summary, func, schemes, choices=SCHEME_IDS):
 def _problem(p, *generators):
     """Add ``--mtx`` and the generator flags, each ``(flag, type, default)``,
     that it excludes: the file is the whole problem.  A generator flag
-    defaults to None here; ``main`` rejects one given with ``--mtx`` and
-    applies the defaults of the others."""
+    defaults to None here; ``main`` rejects one given with ``--mtx``, with
+    ``p``'s usage, and applies the defaults of the others."""
     flags = ", ".join(flag for flag, _, _ in generators)
     p.add_argument("--mtx", default=None, help=f"Matrix Market file (excludes {flags})")
+    dests = {}
     for flag, kind, default in generators:
-        p.add_argument(flag, type=kind, default=None, help=f"default {default}; not with --mtx")
-    p.set_defaults(generators={flag: default for flag, _, default in generators})
+        action = p.add_argument(flag, type=kind, default=None,
+                                help=f"default {default}; not with --mtx")
+        dests[flag] = (action.dest, default)
+    p.set_defaults(generators=dests, subparser=p)
 
 
 def build_parser():
@@ -400,12 +403,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, default in getattr(args, "generators", {}).items():
-        dest = flag[2:].replace("-", "_")
+    for flag, (dest, default) in getattr(args, "generators", {}).items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
         elif args.mtx:
-            parser.error(f"argument {flag}: not allowed with argument --mtx")
+            args.subparser.error(f"argument {flag}: not allowed with argument --mtx")
     args.seed = _resolve_seed(args)
     args.scheme = args.scheme or args.default_schemes
     try:

@@ -267,8 +267,10 @@ class _DelayedState(QrState):
     in one fused reduction [Q, w]^T [w, a].  Both operands are views of the
     basis storage, save a row-major copy of [w, a] at j = 0: there the
     product is a gemv, whose rounding follows the layout of [w, a]; from
-    j = 1 it is a gemm, which rounds alike for either layout.  Each scheme
-    supplies how the incoming coefficients follow from the reduction
+    j = 1 it is a gemm, which rounded alike for either layout on every shape
+    measured with numpy's OpenBLAS 0.3.31 (another BLAS may not; test_ortho's
+    test_dcgs2_fused_reduction_reads_the_basis_in_place checks it).  Each
+    scheme supplies how the incoming coefficients follow from the reduction
     (``_incoming``).  The pending column is emitted as held
     (``_emit_pending``, ``flush``) unless the scheme reorthogonalizes it
     first, as dcgs2 does.  The first push into an empty basis only stashes

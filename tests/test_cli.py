@@ -368,12 +368,14 @@ def test_every_option_changes_the_csv(tmp_path, command):
         flag = action.option_strings[0] if action.option_strings else None
         if flag in (None, "-h", "--out"):
             continue
-        args = base_args
-        if flag == "--mtx":  # --mtx runs without the generator flags it excludes
+        args, ref = base_args, base
+        if flag == "--mtx":  # against a base without the generator flags it excludes
             args = [command, *_without(WALK_RUNS[command], parser.get_default("generators"))]
+            code, ref = run_csv(tmp_path, args, "mtx-base.csv")
+            assert code == 0
         code, text = run_csv(tmp_path, args + [flag, OTHER_VALUE[flag]], "alt.csv")
         assert code == 0, flag
-        if (text == base) != (flag == "--jobs"):
+        if (text == ref) != (flag == "--jobs"):
             ignored.append(flag)
     assert ignored == []
 
@@ -400,7 +402,9 @@ def test_mtx_excludes_generator_flags(capsys, command, flag, value):
     with pytest.raises(SystemExit) as err:
         main([command, "--mtx", data_path("good_square_asym.mtx"), flag, value])
     assert err.value.code == 2
-    assert f"argument {flag}: not allowed with argument --mtx" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"usage: kls-bench {command} ")
+    assert f"argument {flag}: not allowed with argument --mtx" in stderr
 
 
 def test_eig_schur_iteration_limit_names_its_restart(tmp_path, monkeypatch):
