@@ -14,7 +14,8 @@ basis storage, and every scheme builds and divides the basis vector there,
 whatever the layout of the pushed column.  ``finalize`` returns views of
 that storage, which is append-only.
 
-Every projection subtracts, Y <- Y - Q C (``kernels.mv_times_mat_add_mv``);
+Every projection subtracts, Y <- Y - Q C (``kernels.mv_times_mat_add_mv``,
+or a delayed push's one pass over the basis in row blocks, ``_DelayedState``);
 ``icwy-mgs`` projects through the one inverse compact WY factor (I + L)^-1.
 
 These states are the only implementation of each scheme: the Arnoldi
@@ -31,9 +32,14 @@ import scipy.linalg
 from .dense import householder_qr
 from .errors import BreakdownError, DimensionError, NonFiniteError, UnknownSchemeError
 from .kernels import dot, mv_times_mat_add_mv, mv_trans_mv, norm2
-from .ledger import SyncLedger
+from .ledger import MV_TIMES_MAT_ADD_MV, SyncLedger
 
 _EPS = np.finfo(np.float64).eps
+
+#: byte budget of one row block over the j + 3 columns a delayed push's pass
+#: touches: of 256 KiB to 4 MiB, 1 MiB ran it fastest (2-core Xeon, OpenBLAS
+#: 0.3.31 on one thread).  qr_factorize copies A in blocks of the same size.
+_PASS_BYTES = 1 << 20
 
 
 def independent(alpha, scale, m):
@@ -138,10 +144,13 @@ class QrState:
         return float(np.sqrt(alpha_sq))
 
     def _emit(self, coeffs, alpha):
-        """Normalize basis column ncols, built in place, by its norm alpha
-        and record its R column."""
+        """Normalize basis column ncols, built in place, by alpha; record it."""
+        self._q[:, self.ncols] /= alpha
+        self._record(coeffs, alpha)
+
+    def _record(self, coeffs, alpha):
+        """Record the R column and norm of basis column ncols; emit it."""
         j = self.ncols
-        self._q[:, j] /= alpha
         self._r[: len(coeffs), j] = coeffs
         self._r[j, j] = alpha
         self.last_coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -264,18 +273,24 @@ class _DelayedState(QrState):
     """The one-reduction pipeline shared by the delayed schemes.
 
     A push completes the pending column j and projects the incoming column
-    in one fused reduction [Q, w]^T [w, a].  Both operands are views of the
-    basis storage, save a row-major copy of [w, a] at j = 0: there the
-    product is a gemv, whose rounding follows the layout of [w, a]; from
-    j = 1 it is a gemm, which rounded alike for either layout on every shape
-    measured with numpy's OpenBLAS 0.3.31 (another BLAS may not; test_ortho's
-    test_dcgs2_fused_reduction_reads_the_basis_in_place checks it).  Each
-    scheme supplies how the incoming coefficients follow from the reduction
-    (``_incoming``).  The pending column is emitted as held
-    (``_emit_pending``, ``flush``) unless the scheme reorthogonalizes it
-    first, as dcgs2 does.  The first push into an empty basis only stashes
-    its column; a push into an adopted basis with nothing pending primes
-    with one projection.
+    in one fused reduction [Q, w]^T [w, a] of views of the basis storage (a
+    row-major copy of [w, a] at j = 0, whose gemv rounds by the layout;
+    test_ortho's test_dcgs2_fused_reduction_reads_the_basis_in_place checks
+    that the gemm from j = 1 does not).  Each scheme supplies the pending
+    column's norm and R column (``_emit_pending``, where a breakdown raises
+    before [w, a] is touched) and the incoming coefficients (``_incoming``).
+    Then one pass over the basis in row blocks (``_pass``) corrects the
+    pending column if the scheme reorthogonalizes it (dcgs2's
+    ``vector_correction``), divides it by its norm and projects the incoming
+    column, so that the second read of a block of Q comes from cache.  Each
+    step is an unblocked push's BLAS call or division on a row slice, with
+    its bits if the block starts on a multiple of 4 rows: OpenBLAS 0.3.31's
+    Haswell dgemv_n rounds a tail of under 4 rows apart, and starts on
+    multiples of 1 or 2 rows changed tall QR results.  Blocks start on
+    multiples of 64 rows, a multiple of any row grouping up to 64, which
+    kept the bits in every case measured.  The first push into an empty
+    basis only stashes its column; a push into an adopted basis with
+    nothing pending primes with one projection.
 
     With ``pending_image=True`` the incoming column is the image of the
     unnormalized pending column rather than of its normalized form, as in
@@ -285,16 +300,8 @@ class _DelayedState(QrState):
 
     delayed = True
 
-    def _stash(self, coeffs, scale, d=1.0):
-        """Hold the column at home, divided by d and projected by coeffs,
-        as the pending column."""
-        j = self.ncols
-        if d != 1.0:
-            self._q[:, j] /= d
-        if j:
-            mv_times_mat_add_mv(
-                self._q[:, j : j + 1], self.q, coeffs[:, None], ledger=self.ledger
-            )
+    def _stash(self, coeffs, scale):
+        """Hold the column at home, projected by coeffs, as pending."""
         self.pending = coeffs
         self._pscale = scale  # norm of the pending column's input, breakdown guard
         self.npushed += 1
@@ -310,6 +317,7 @@ class _DelayedState(QrState):
             s = np.zeros(0)
             if j:
                 s = self._project(mv_trans_mv(self.q, a[:, None], ledger=self.ledger)[:, 0])
+                mv_times_mat_add_mv(a[:, None], self.q, s[:, None], ledger=self.ledger)
             self._stash(s, scale)
             return
         wa = self._q[:, j : j + 2]  # [w, a]: the pending column and a, side by side
@@ -320,12 +328,31 @@ class _DelayedState(QrState):
         alpha = self._emit_pending(c, float(g[j, 0]))
         d = alpha if pending_image else 1.0
         coeffs = self._incoming(c, s, float(g[j, 1]), alpha, d)
-        self._stash(coeffs, scale / d, d)
+        self._pass(j, alpha, d, coeffs)
+        self._stash(coeffs, scale / d)
+
+    def _pass(self, j, alpha, d, coeffs):
+        """w <- (w - Q c) / alpha (c the ``vector_correction``, if any), then
+        a <- a / d - [Q, w] coeffs, by row blocks; ledgered per projection."""
+        w, a = self._q[:, j : j + 1], self._q[:, j + 1 : j + 2]
+        c = self.vector_correction
+        if c is not None:
+            self.ledger.record(MV_TIMES_MAT_ADD_MV, flops=2 * self.m * j)
+        self.ledger.record(MV_TIMES_MAT_ADD_MV, flops=2 * self.m * (j + 1))
+        rows = max(64, _PASS_BYTES // (8 * (j + 3)) // 64 * 64)
+        for i in range(0, self.m, rows):
+            b = slice(i, i + rows)
+            if c is not None and j:
+                w[b] -= self._q[b, :j] @ c[:, None]
+            w[b] /= alpha
+            if d != 1.0:
+                a[b] /= d
+            a[b] -= self._q[b, : j + 1] @ coeffs[:, None]
 
     def _emit_held(self, alpha):
-        """Emit the pending column as held, divided by its norm alpha."""
+        """Record the pending column as held, with norm alpha, undivided."""
         self._guard(self.pending, alpha, self._pscale)
-        self._emit(self.pending, alpha)
+        self._record(self.pending, alpha)
         return alpha
 
     def _emit_pending(self, c, beta):
@@ -334,7 +361,8 @@ class _DelayedState(QrState):
     def flush(self):
         """Normalize the pending column as it stands: one reduction."""
         if self.pending is not None:
-            self._emit_held(norm2(self._q[:, self.ncols], ledger=self.ledger))
+            w = self._q[:, self.ncols]
+            w /= self._emit_held(norm2(w, ledger=self.ledger))
             self.pending = None
 
 
@@ -405,10 +433,8 @@ class Dcgs2State(_DelayedState):
         coeffs = self.pending + c
         self._guard(coeffs, float(np.sqrt(max(beta, 0.0))), self._pscale)
         alpha = self._pythagorean_norm(beta, c, j)
-        w = self._q[:, j : j + 1]
-        mv_times_mat_add_mv(w, self.q, c[:, None], ledger=self.ledger)
-        self._emit(coeffs, alpha)
-        self.vector_correction = c
+        self._record(coeffs, alpha)
+        self.vector_correction = c  # the push's pass applies it
         return alpha
 
     def _incoming(self, c, s, s_piv, alpha, d):
@@ -487,16 +513,20 @@ def qr_factorize(A, scheme, ledger=None):
     """Factorize a full matrix with the chosen scheme; returns (Q, R).
 
     ``householder`` is handled directly (it is not left-looking); all other
-    ids run the push interface column by column.  A push reads its column
-    of A once, into the basis storage, so every layout of A gives the same
-    bits; Q and R are the views ``QrState.finalize`` returns.
+    ids copy A into the basis storage in row blocks, which read a row-major
+    A in order, and push each column from its home there (``_take``'s copy
+    is then a no-op): every layout of A gives the same bits.  Q and R are
+    the views ``QrState.finalize`` returns.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise DimensionError(f"tall matrix expected, got {A.shape}")
     if scheme == "householder":
         return householder_qr(A, ledger=ledger)
-    state = make_state(scheme, A.shape[0], A.shape[1], ledger=ledger)
-    for j in range(A.shape[1]):
-        state.push(A[:, j])
+    (m, n), state = A.shape, make_state(scheme, *A.shape, ledger=ledger)
+    rows = max(1, _PASS_BYTES // (16 * max(n, 1)))  # A and its home
+    for i in range(0, m, rows):
+        state._q[i : i + rows] = A[i : i + rows]
+    for j in range(n):
+        state.push(state._q[:, j])
     return state.finalize()

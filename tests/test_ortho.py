@@ -118,11 +118,16 @@ def _bits(x):
     return np.ascontiguousarray(x).tobytes()
 
 
-@pytest.mark.parametrize("scheme", PUSH_SCHEMES)
-def test_qr_independent_of_input_layout(scheme, rng):
-    # a push copies its column into the basis before any arithmetic, so the
-    # input's strides cannot change the rounding
-    big = rng.standard_normal((400, 40))
+@pytest.mark.parametrize(
+    "scheme, shape",
+    [pytest.param(s, (400, 40), id=s) for s in PUSH_SCHEMES]
+    + [pytest.param(s, (10001, 40), id=f"{s}-tall") for s in PUSH_SCHEMES],
+)
+def test_qr_independent_of_input_layout(scheme, shape, rng):
+    # A is copied into the basis before any arithmetic, so the input's
+    # strides cannot change the rounding; the tall case spans several row
+    # blocks of that copy and of the delayed pushes' pass
+    big = rng.standard_normal(shape)
     strided = big[:, ::2]
     runs = []
     for a in (np.ascontiguousarray(strided), np.asfortranarray(strided), strided):
@@ -335,6 +340,66 @@ def test_dcgs2_fused_reduction_reads_the_basis_in_place(case, rng):
         assert np.array_equal(out, row_major), j
 
 
+def _unblocked_pass(self, j, alpha, d, coeffs):
+    """A delayed push's vector work as whole columns: the correction and
+    the projection as two update kernel calls, each with its division."""
+    from kls.kernels import mv_times_mat_add_mv
+
+    if self.vector_correction is not None:
+        c = self.vector_correction[:, None]
+        mv_times_mat_add_mv(self._q[:, j : j + 1], self._q[:, :j], c, ledger=self.ledger)
+    self._q[:, j] /= alpha
+    if d != 1.0:
+        self._q[:, j + 1] /= d
+    s = coeffs[:, None]
+    mv_times_mat_add_mv(self._q[:, j + 1 : j + 2], self._q[:, : j + 1], s, ledger=self.ledger)
+
+
+@pytest.mark.parametrize(
+    "case", [f"qr-{s}" for s in DELAYED_SCHEMES] + ["arnoldi-dcgs2", "gmres-dcgs2"]
+)
+def test_delayed_pass_matches_unblocked_updates(case, rng):
+    # the row-blocked pass of a delayed push gives the bits and the ledger of
+    # the two whole-column updates it replaces, with block boundaries inside
+    # the columns: a ragged QR panel, and Arnoldi images divided by d != 1
+    import kls.ortho
+    from kls.arnoldi import arnoldi
+    from kls.gmres import GmresConfig, gmres_solve
+    from kls.problems import CsrOperator, ManteuffelSpec, manteuffel_build
+
+    kind, scheme = case.split("-", 1)
+    if kind == "qr":
+        a = rng.standard_normal((30001, 12))
+        m, top = a.shape[0], a.shape[1] - 1
+
+        def run(led):
+            return qr_factorize(a, scheme, ledger=led)
+    else:
+        op = CsrOperator(manteuffel_build(ManteuffelSpec(k=100)))
+        v = rng.standard_normal(op.n)  # right-hand side, or start vector
+        m, top = op.n, 30
+
+        def run(led):
+            if kind == "gmres":
+                r = gmres_solve(op, v, GmresConfig(max_iters=60, restart=30, scheme=scheme),
+                                ledger=led)
+                return r.x, r.residual_history, r.backward_errors
+            exp = arnoldi(op, v, scheme, capacity=41, ledger=led)
+            for _ in range(40):
+                exp.step()
+            return exp.finalize()
+
+    assert m > 2 * kls.ortho._PASS_BYTES // (8 * (top + 3))  # three or more blocks
+    runs = []
+    for pass_ in (kls.ortho._DelayedState._pass, _unblocked_pass):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kls.ortho._DelayedState, "_pass", pass_)
+            led = SyncLedger()
+            out = run(led)
+        runs.append(([_bits(x) for x in out], led.reductions, led.flops, led.kernel_counts))
+    assert runs[0] == runs[1]
+
+
 def test_pythagorean_alpha_matches_direct_norm(rng):
     # in the no-cancellation regime the lagged norm equals the direct norm
     a = synthetic_kappa(100, 20, 1e3, seed=23)
@@ -445,6 +510,46 @@ def test_scheme_property_well_conditioned(n, extra, seed, scheme):
     led = SyncLedger()
     q, r = qr_factorize(a, scheme, ledger=led)
     assert loss_of_orthogonality(q) <= 1e-12 * max(n, 1)
+    assert representation_error_qr(a, q, r) <= 1e-13
+    assert np.all(np.diag(r) >= 0)
+    assert assert_matches(led, predicted_counts(scheme, n)).passed
+
+
+@pytest.mark.parametrize("scheme", DELAYED_SCHEMES)
+@settings(deadline=None, max_examples=12, derandomize=True)
+@given(
+    m=st.integers(min_value=5000, max_value=25000),
+    n=st.integers(min_value=2, max_value=10),
+    bad=st.sampled_from(["zero", "duplicate"]),
+    k_raw=st.integers(min_value=0, max_value=9),
+    i_raw=st.integers(min_value=0, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_delayed_property_tall_with_dependent_column(scheme, m, n, bad, k_raw, i_raw, seed):
+    # 1-3 row blocks of the delayed pass; column k is zero or a copy of an
+    # earlier column i.  Either a breakdown names k and leaves an
+    # orthonormal emitted basis, or the well-conditioned bounds hold
+    gen = np.random.Generator(np.random.PCG64(seed))
+    a = gen.standard_normal((m, n))
+    if bad == "zero":
+        k = k_raw % n
+        a[:, k] = 0.0
+    else:
+        k = 1 + k_raw % (n - 1)
+        a[:, k] = a[:, i_raw % k]
+    led = SyncLedger()
+    state = make_state(scheme, m, n, ledger=led)
+    try:
+        for j in range(n):
+            state.push(a[:, j])
+        q, r = state.finalize()
+    except BreakdownError as err:
+        assert (err.kind, err.column) == ("dependent", k)
+        assert np.all(np.isfinite(state.q))
+        assert loss_of_orthogonality(state.q) <= 1e-12
+        return
+    assert np.all(np.isfinite(q))
+    assert loss_of_orthogonality(q) <= 1e-12 * n
     assert representation_error_qr(a, q, r) <= 1e-13
     assert np.all(np.diag(r) >= 0)
     assert assert_matches(led, predicted_counts(scheme, n)).passed

@@ -3,18 +3,20 @@
     python tools/bitcheck.py dump CHECKOUT OUT.pkl
     python tools/bitcheck.py compare A.pkl B.pkl
 
-``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 70
+``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 74
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 resumed from a Hessenberg and from a dense coupling row, for every scheme;
 GMRES(30) on Manteuffel k=20 and Krylov-Schur on Manteuffel k=10, against
 the exact spectrum and against it with every multiplicity cut to 1 (which
-raises the over-multiplicity flag), for cgs2 and dcgs2; the generators: the
-CSR arrays of Manteuffel k=10 and k=200, and 2000x50 ``synthetic_kappa``
-matrices at kappa 1e0, 1e4, 1e8 and 1e12; and one small run of each
-``kls-bench`` subcommand, its stdout bytes and exit code, plus ``gmres`` and
-``arnoldi-stability`` on a Matrix Market file and ``qr-stability`` and
-``sync-count`` with ``--jobs 2`` (the file runs read
+raises the over-multiplicity flag), for cgs2 and dcgs2; cases that span
+several row blocks of a delayed push: QR of a 30000x24 panel by icwy-mgs,
+dcgs2 and dcgs2-hrt, and dcgs2 GMRES(30) for 60 iterations on Manteuffel
+k=100; the generators: the CSR arrays of Manteuffel k=10 and k=200, and
+2000x50 ``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12; and
+one small run of each ``kls-bench`` subcommand, its stdout bytes and exit
+code, plus ``gmres`` and ``arnoldi-stability`` on a Matrix Market file and
+``qr-stability`` and ``sync-count`` with ``--jobs 2`` (the file runs read
 ``tests/data/good_square_asym.mtx`` of the checkout).
 Each case also records the ledger's reductions, flops and kernel counts.
 ``compare`` prints ``N cases, D differ: [...]``, then one line per
@@ -135,6 +137,17 @@ def dump(checkout, path):
                     r.over_multiplicity, r.restarts, r.incomplete, op.napply)
         run(("krylov-schur", s), lambda led: ks(exact, 100, led))
         run(("krylov-schur", s, "short"), lambda led: ks(short, 40, led))
+    tall = np.random.Generator(np.random.PCG64(12)).standard_normal((30000, 24))
+    for s in ("icwy-mgs", "dcgs2", "dcgs2-hrt"):
+        run(("qr", "tall", s, opt), lambda led: qr_factorize(tall, s, ledger=led))
+    m100 = CsrOperator(manteuffel_build(ManteuffelSpec(k=100)))
+    b100 = np.random.Generator(np.random.PCG64(6)).standard_normal(m100.n)
+
+    def gmres100(led):
+        r = gmres_solve(m100, b100, GmresConfig(max_iters=60, restart=30, scheme="dcgs2"),
+                        ledger=led)
+        return r.x, r.residual_history, r.backward_errors, r.reduction_history
+    run(("gmres", "dcgs2", "m100"), gmres100)
 
     def cli(argv, led):
         text = io.StringIO()
