@@ -169,9 +169,10 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     optional EigenvalueTable: the reported values are matched against it
     once, after the last restart, within ``cfg.tol``; the result carries
     the matched count, and a value whose nearest exact eigenvalue is used
-    up sets the over-multiplicity flag.  The locked corner is never rewritten, so this match sees what a
-    match at every restart would.  The returned invariant dimension counts
-    locked Schur vectors and never decreases.
+    up sets the over-multiplicity flag.  The locked corner is never
+    rewritten, so this match sees what a match at every restart would.  The
+    returned invariant dimension counts locked Schur vectors and never
+    decreases.
     """
     m = op.shape[0]
     n_max = min(cfg.max_basis, m)

@@ -84,12 +84,11 @@ class _GivensLS:
         self.rhs = [float(beta)]
         self.ncols = 0
 
-    def append(self, hcol, subdiag):
+    def append(self, hcol):
+        """Append Hbar column j, its j + 2 leading entries; returns the
+        least-squares residual norm."""
         j = self.ncols
-        col = np.zeros(j + 2)
-        col[: len(hcol)] = hcol
-        col[j + 1] = subdiag
-        col = col.tolist()
+        col = hcol.tolist()
         for i, (c, s) in enumerate(zip(self.cs, self.sn)):
             t = c * col[i] + s * col[i + 1]
             col[i + 1] = -s * col[i] + c * col[i + 1]
@@ -185,9 +184,7 @@ def gmres_solve(op, b, cfg, x0=None, ledger=None):
                     be_hist.append(backward_error(op, x + exp.basis[:, : len(y)] @ y, b))
                     be_iters.append(it)
                     pending = None
-                hcol = exp._h[: processed + 1, processed]
-                sub = exp._h[processed + 1, processed]
-                absres = ls.append(hcol, sub)
+                absres = ls.append(exp._h[: processed + 2, processed])
                 rel = absres / bnorm
                 rel_hist.append(rel)
                 red_hist.append(ledger.reductions)

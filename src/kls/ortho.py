@@ -19,20 +19,25 @@ or a delayed push's one pass over the basis in row blocks, ``_DelayedState``);
 ``icwy-mgs`` projects through the one inverse compact WY factor (I + L)^-1.
 
 These states are the only implementation of each scheme: the Arnoldi
-expansion in ``arnoldi`` pushes operator images into them.
+expansion in ``arnoldi`` pushes operator images into them, and its Hbar is
+a view of the state's R.  A dependent column raises ``BreakdownError`` and
+leaves its attempted coefficients in its R column, over a zero diagonal.
 
 Scheme ids: cgs, cgs2, cgs2-lagged, mgs, icwy-mgs, dcgs2, dcgs2-hrt,
-householder.  ``householder`` is the reference, not a push state:
-``qr_factorize`` returns ``dense.householder_qr``, LAPACK's QR.
+householder.  ``householder`` has a push state too, Walker's Householder
+orthogonalization (``HouseholderState``), which Arnoldi runs on; but
+``qr_factorize`` returns the reference ``dense.householder_qr``, LAPACK's
+QR, and the state has no cost model.
 """
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
-from .dense import householder_qr
+from .dense import householder_qr, reflectors
 from .errors import BreakdownError, DimensionError, NonFiniteError, UnknownSchemeError
 from .kernels import dot, mv_times_mat_add_mv, mv_trans_mv, norm2
-from .ledger import MV_TIMES_MAT_ADD_MV, SyncLedger
+from .ledger import MV_DOT, MV_TIMES_MAT_ADD_MV, SyncLedger
 
 _EPS = np.finfo(np.float64).eps
 
@@ -81,10 +86,6 @@ class QrState:
         self._r = np.zeros((n_cap, n_cap))
         self.ncols = 0
         self.npushed = 0
-        # most recent column's projection coefficients and norm; on a
-        # dependent-column breakdown these hold the attempted coefficients
-        self.last_coeffs = None
-        self.last_alpha = None
         # projection coefficients of the pending column, None when none is
         # held (always, for the immediate schemes)
         self.pending = None
@@ -118,11 +119,12 @@ class QrState:
         return home, scale
 
     def _guard(self, coeffs, alpha, scale):
-        """Record the column's coefficients and norm; a column that vanished
-        to rounding is dropped and reported as dependent."""
-        self.last_coeffs, self.last_alpha = coeffs, alpha
+        """A column whose norm alpha vanished to rounding is dropped and
+        reported as dependent; its R column keeps the attempted coefficients
+        over its zero diagonal."""
         if not independent(alpha, scale, self.m):
             self._q[:, self.ncols] = 0.0
+            self._r[: len(coeffs), self.ncols] = coeffs
             self.pending = None
             raise BreakdownError(
                 f"column {self.ncols} is dependent at working precision "
@@ -153,8 +155,6 @@ class QrState:
         j = self.ncols
         self._r[: len(coeffs), j] = coeffs
         self._r[j, j] = alpha
-        self.last_coeffs = np.asarray(coeffs, dtype=np.float64)
-        self.last_alpha = alpha
         self.ncols += 1
 
     def adopt(self, V):
@@ -477,7 +477,61 @@ class Dcgs2HrtState(_DelayedState):
         return np.append(s / d, s_piv / (alpha * d))
 
 
-#: the scheme registry: one push state per left-looking scheme id
+class HouseholderState(QrState):
+    """Walker's Householder orthogonalization through accumulated reflectors
+    (Walker, SISC 1988).
+
+    The reflectors are kept in LAPACK's compact form, as ``dense.reflectors``
+    returns them: push j applies P_{j-1} ... P_0 to the column, makes P_j
+    with ``dgeqrfp`` on the tail, and forms q_j = P_0 ... P_j e_j with
+    ``dormqr``.  The ledger is charged Walker's counts from the formula: one
+    dot and one update per applied reflector that is not the identity, and
+    one dot (the tail norm) per new reflector.
+    """
+
+    scheme_id = "householder"
+
+    def __init__(self, m, n_cap, ledger=None):
+        super().__init__(m, n_cap, ledger)
+        self._refl = np.zeros((m, n_cap), order="F")
+        self._tau = np.zeros(n_cap)
+
+    def adopt(self, V):
+        """Adopt orthonormal columns into an empty state, re-encoded as
+        reflectors (R is +I to rounding)."""
+        if self.ncols:
+            raise DimensionError("householder adopts into an empty state only")
+        k = V.shape[1]
+        self._refl[:, :k], self._tau[:k] = reflectors(V, self.ledger)
+        super().adopt(V)
+
+    def _apply(self, z, r, trans):
+        """P_{r-1} ... P_0 z (trans "T") or P_0 ... P_{r-1} z (trans "N")."""
+        tau = self._tau[:r]
+        for i in np.flatnonzero(tau):
+            self.ledger.record(MV_DOT, flops=2 * (self.m - i))
+            self.ledger.record(MV_TIMES_MAT_ADD_MV, flops=2 * (self.m - i))
+        return lapack.dormqr("L", trans, self._refl[:, :r], tau, z[:, None], lwork=1)[0][:, 0]
+
+    def push(self, a):
+        z, scale = self._take(a)
+        j = self.ncols
+        if j:
+            z = self._apply(z, j, "T")
+        self._guard(z[:j], float(np.linalg.norm(z[j:])), scale)
+        # P_j zeroes z below row j and leaves +||z[j:]|| in row j
+        self.ledger.record(MV_DOT, flops=2 * (self.m - j - 1))
+        refl, tau, _ = lapack.dgeqrfp(z[j:, None])
+        self._refl[j:, j] = refl[:, 0]
+        self._tau[j] = tau[0]
+        e = np.zeros(self.m)
+        e[j] = 1.0
+        self._q[:, j] = self._apply(e, j + 1, "N")
+        self.npushed += 1
+        self._record(z[:j], float(refl[0, 0]))
+
+
+#: the scheme registry: the push states with a cost model, by scheme id
 _STATES = {
     cls.scheme_id: cls
     for cls in (
@@ -491,7 +545,7 @@ _STATES = {
     )
 }
 
-#: schemes with a push state, each with a cost model in ``ledger``
+#: schemes ``qr_factorize`` pushes, each with a cost model in ``ledger``
 PUSH_SCHEMES = tuple(_STATES)
 
 SCHEME_IDS = PUSH_SCHEMES + ("householder",)
@@ -501,7 +555,9 @@ DELAYED_SCHEMES = tuple(s for s, cls in _STATES.items() if cls.delayed)
 
 
 def make_state(scheme, m, n_cap, ledger=None):
-    """Construct the push state for a scheme id."""
+    """Construct the push state for a scheme id, ``householder`` included."""
+    if scheme == "householder":
+        return HouseholderState(m, n_cap, ledger=ledger)
     try:
         cls = _STATES[scheme]
     except KeyError:
@@ -512,11 +568,11 @@ def make_state(scheme, m, n_cap, ledger=None):
 def qr_factorize(A, scheme, ledger=None):
     """Factorize a full matrix with the chosen scheme; returns (Q, R).
 
-    ``householder`` is handled directly (it is not left-looking); all other
-    ids copy A into the basis storage in row blocks, which read a row-major
-    A in order, and push each column from its home there (``_take``'s copy
-    is then a no-op): every layout of A gives the same bits.  Q and R are
-    the views ``QrState.finalize`` returns.
+    ``householder`` returns the LAPACK reference ``dense.householder_qr``,
+    not its push state; all other ids copy A into the basis storage in row
+    blocks, which read a row-major A in order, and push each column from its
+    home there (``_take``'s copy is then a no-op): every layout of A gives
+    the same bits.  Q and R are the views ``QrState.finalize`` returns.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kls.arnoldi import ARNOLDI_SCHEMES, arnoldi, arnoldi_expand, resume_arnoldi
 from kls.errors import DimensionError, NonFiniteError
@@ -119,6 +120,35 @@ def test_eigenvector_start_immediate_breakdown():
     assert exp.happy
     assert h.shape == (1, 1) and h[0, 0] == pytest.approx(1.0)
     assert np.allclose(v[:, 0], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("d", (2, 3, 4, 6))
+@pytest.mark.parametrize("scheme", ("cgs2", "cgs2-lagged", "dcgs2", "householder"))
+def test_invariant_subspace_stops_at_its_dimension(scheme, d):
+    # the start lies in the leading d-by-d block, so the Krylov space is
+    # invariant at dimension d: a reorthogonalizing scheme stops there with
+    # a d-by-d Hbar (the single-pass schemes may miss the step)
+    for seed in range(10):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        blocks = rng.standard_normal((d, d)), rng.standard_normal((30 - d, 30 - d))
+        a = scipy.linalg.block_diag(*blocks)
+        start = np.r_[rng.standard_normal(d), np.zeros(30 - d)]
+        exp = arnoldi(DenseOperator(a), start, scheme, capacity=30)
+        while exp.order < 29 and exp.step():
+            pass
+        _, h = exp.finalize()
+        assert exp.happy and exp.order == d and h.shape == (d, d), (seed, exp.order)
+
+
+@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+def test_hbar_is_a_view_of_the_push_state_r(scheme, manteuffel10, start100):
+    exp = arnoldi(manteuffel10, start100, scheme, capacity=12)
+    for _ in range(8):
+        exp.step()
+    _, h = exp.finalize()
+    k = h.shape[1]
+    assert np.shares_memory(h, exp.state._r)
+    assert np.array_equal(h, exp.state.r[: k + 1, 1 : k + 1])
 
 
 class _NanAt(DenseOperator):

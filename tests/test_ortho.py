@@ -103,6 +103,43 @@ def test_unknown_scheme_rejected():
         make_state("qrx", 10, 2)
 
 
+def test_householder_push_state_matches_lapack_reference(rng):
+    # Walker's push state: the reference's R, LAPACK-level orthogonality,
+    # and one dot per applied reflector plus one per tail norm: n(n+1)
+    m, n = 300, 20
+    a = rng.standard_normal((m, n))
+    state = make_state("householder", m, n)
+    for j in range(n):
+        state.push(a[:, j])
+    q, r = state.finalize()
+    rh = householder_qr(a)[1]
+    assert loss_of_orthogonality(q) <= 1e-14
+    assert np.max(np.abs(r - rh)) <= 1e-12 * np.max(np.abs(rh))
+    assert state.ledger.reductions == n * (n + 1) == 420
+    assert state.ledger.kernel_counts["MvDot"] == 420
+    assert state.ledger.kernel_counts["MvTimesMatAddMv"] == 400
+    fresh = make_state("householder", m, n + 1)
+    fresh.adopt(q)
+    assert np.array_equal(fresh.q, q)
+    with pytest.raises(DimensionError):  # the reflectors encode a whole basis only
+        fresh.adopt(q[:, :1])
+
+
+def test_householder_dependent_column_keeps_its_coefficients(rng):
+    a = rng.standard_normal((50, 2))
+    state = make_state("householder", 50, 3)
+    for j in range(2):
+        state.push(a[:, j])
+    coeffs = np.array([0.5, -2.0])
+    with pytest.raises(BreakdownError) as info:
+        state.push(a @ coeffs)
+    assert info.value.kind == "dependent" and info.value.column == 2
+    # R's column 2 holds the attempted coefficients R[:2, :2] x over a zero diagonal
+    r = state._r
+    assert np.allclose(r[:2, 2], r[:2, :2] @ coeffs, rtol=1e-13, atol=0.0)
+    assert r[2, 2] == 0.0 and not np.any(state._q[:, 2])
+
+
 def test_capacity_and_shape_errors(rng):
     state = make_state("cgs", 10, 1)
     state.push(rng.standard_normal(10))

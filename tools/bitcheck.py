@@ -3,16 +3,16 @@
     python tools/bitcheck.py dump CHECKOUT OUT.pkl
     python tools/bitcheck.py compare A.pkl B.pkl
 
-``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 74
+``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 80
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 resumed from a Hessenberg and from a dense coupling row, for every scheme;
 GMRES(30) on Manteuffel k=20 and Krylov-Schur on Manteuffel k=10, against
 the exact spectrum and against it with every multiplicity cut to 1 (which
-raises the over-multiplicity flag), for cgs2 and dcgs2; cases that span
-several row blocks of a delayed push: QR of a 30000x24 panel by icwy-mgs,
-dcgs2 and dcgs2-hrt, and dcgs2 GMRES(30) for 60 iterations on Manteuffel
-k=100; the generators: the CSR arrays of Manteuffel k=10 and k=200, and
+raises the over-multiplicity flag), for cgs2, dcgs2, householder and
+icwy-mgs; cases that span several row blocks of a delayed push: QR of a
+30000x24 panel by icwy-mgs, dcgs2 and dcgs2-hrt, and dcgs2 GMRES(30) for 60
+iterations on Manteuffel k=100; the generators: the CSR arrays of Manteuffel k=10 and k=200, and
 2000x50 ``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12; and
 one small run of each ``kls-bench`` subcommand, its stdout bytes and exit
 code, plus ``gmres`` and ``arnoldi-stability`` on a Matrix Market file and
@@ -121,7 +121,7 @@ def dump(checkout, path):
     exact = manteuffel_eigenvalues(spec)
     # every multiplicity 1: the over-multiplicity flag is raised
     short = EigenvalueTable(exact.unique, exact.unique, np.ones_like(exact.multiplicity))
-    for s in ("cgs2", "dcgs2"):
+    for s in ("cgs2", "dcgs2", "householder", "icwy-mgs"):
         def gmres(led):
             m20.napply = 0
             r = gmres_solve(m20, b, GmresConfig(max_iters=100, restart=30, scheme=s), ledger=led)
