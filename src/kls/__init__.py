@@ -7,14 +7,13 @@ embedded into Arnoldi expansions, a Krylov-Schur eigensolver, and GMRES.
 
 __version__ = "0.1.0"
 
-from .arnoldi import arnoldi, arnoldi_expand, resume_arnoldi
+from .arnoldi import arnoldi, arnoldi_expand
 from .eig import (
     EigResult,
     KrylovSchurConfig,
     eig_diagnostics,
     krylov_schur_run,
     match_eigenvalues,
-    ritz_residual,
 )
 from .errors import (
     BreakdownError,

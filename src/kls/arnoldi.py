@@ -9,6 +9,9 @@ returns ``(V, Hbar)``.  On a happy breakdown (the new direction lies in the
 current span) the state leaves the attempted coefficients over a zero
 diagonal, so the subdiagonal is reported as zero, the returned Hbar is
 square, and the expansion stops; a breakdown is never normalized through.
+``restart`` begins the expansion anew in the same storage, from a start
+vector (a GMRES cycle) or from A V_k = V_{k+1} Hbar (a Krylov-Schur thick
+restart), so one expansion serves a whole solve.
 
 The immediate Gram-Schmidt schemes normalize the start vector locally, so
 per-iteration reduction counts start with the first projection step;
@@ -43,15 +46,40 @@ class _BaseArnoldi:
         self._h = self.state._r[:, 1:]  # Hbar column j-1 is R column j
         self.happy = False
         self._image = None  # operator image of the pending column
-        if start is None:
-            return
-        if self.state.delayed or scheme == "householder":
-            self.state.push(start)
-        else:
+        if start is not None:
+            self.restart(start)
+
+    def restart(self, start, hbar=None):
+        """Begin the expansion anew in the same storage, from a start
+        vector (NaN or infinity raises NonFiniteError at step 0, a zero
+        vector ValueError) or, with ``hbar``, from A V_k = V_{k+1} Hbar:
+        ``start`` holds the k+1 orthonormal columns, possibly a view of the
+        storage's leading ones, and the (k+1)-by-k ``hbar`` may have a dense
+        coupling row (generalized Krylov-Schur form)."""
+        state, start = self.state, np.asarray(start, dtype=np.float64)
+        if hbar is None:
+            check_finite(start, state.scheme_id, 0)
             norm = float(np.linalg.norm(start))
-            self.state.adopt((start / norm)[:, None])
-            self.state._r[0, 0] = norm  # R of [start, A v0, ...] opens with it
-        if self.state.pending is not None:
+            if not norm > 0.0:
+                raise ValueError("zero start vector")
+        else:
+            hbar = np.array(hbar, dtype=np.float64)  # a copy: reset zeroes R
+            if start.shape[1] != hbar.shape[0] or hbar.shape[0] != hbar.shape[1] + 1:
+                raise DimensionError(
+                    f"expected (m, k+1) basis with (k+1, k) hbar, got {start.shape} {hbar.shape}"
+                )
+        state.reset()
+        self.happy = False
+        self._image = None
+        if hbar is not None:
+            state.adopt(start)
+            self._h[: hbar.shape[0], : hbar.shape[1]] = hbar
+        elif state.delayed or state.scheme_id == "householder":
+            state.push(start)
+        else:
+            state.adopt((start / norm)[:, None])
+            state._r[0, 0] = norm  # R of [start, A v0, ...] opens with it
+        if state.pending is not None:
             self._image = self.op.apply(self._v[:, 0])
 
     # -- views ------------------------------------------------------------
@@ -105,7 +133,7 @@ class _BaseArnoldi:
             raise DimensionError("expansion capacity exhausted")
         j, state = self.nbasis, self.state
         try:
-            if self._image is None:  # immediate scheme, or priming after a resume
+            if self._image is None:  # immediate scheme, or priming after a restart from Hbar
                 state.push(self.op.apply(self._v[:, j - 1]))
             else:
                 state.push(self._image, pending_image=True)
@@ -125,8 +153,9 @@ class _BaseArnoldi:
         """Flush pending work; returns (V, Hbar).
 
         Both are views of the push state's storage, not copies: V is
-        column-major and Hbar is a block of R.  The storage is append-only,
-        so a later ``step`` leaves the returned V and Hbar unchanged.
+        column-major and Hbar is a block of R.  The storage is append-only
+        until the expansion restarts, so a later ``step`` leaves the
+        returned V and Hbar unchanged; ``restart`` rewrites them.
         """
         self._image = None
         try:
@@ -146,33 +175,10 @@ class _BaseArnoldi:
 
 
 def arnoldi(op, start, scheme, capacity, ledger=None):
-    """Construct an expansion for a scheme id from a start vector; a start
-    with NaN or infinity raises NonFiniteError at step 0, a zero start
-    ValueError."""
-    if start is not None:
-        start = np.asarray(start, dtype=np.float64)
-        check_finite(start, scheme, 0)
-        if not float(np.linalg.norm(start)) > 0.0:
-            raise ValueError("zero start vector")
+    """Construct an expansion for a scheme id, begun from ``start`` as
+    ``restart`` begins it; with ``start=None`` it is empty until a
+    ``restart``."""
     return _BaseArnoldi(op, start, scheme, capacity, ledger)
-
-
-def resume_arnoldi(op, basis, hbar, scheme, capacity, ledger=None):
-    """Continue an expansion from an existing decomposition A V_k = V_{k+1} Hbar.
-
-    ``basis`` holds k+1 orthonormal columns and ``hbar`` is (k+1)-by-k; the
-    bottom coupling row may be dense (generalized Krylov-Schur form).
-    """
-    basis = np.asarray(basis, dtype=np.float64)
-    hbar = np.asarray(hbar, dtype=np.float64)
-    if basis.shape[1] != hbar.shape[0] or hbar.shape[0] != hbar.shape[1] + 1:
-        raise DimensionError(
-            f"expected (m, k+1) basis with (k+1, k) hbar, got {basis.shape} {hbar.shape}"
-        )
-    exp = arnoldi(op, None, scheme, capacity, ledger)
-    exp.state.adopt(basis)
-    exp._h[: hbar.shape[0], : hbar.shape[1]] = hbar
-    return exp
 
 
 def arnoldi_expand(op, start, scheme, steps, ledger=None):

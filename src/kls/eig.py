@@ -3,9 +3,10 @@
 The solver expands an Arnoldi decomposition to the basis budget, Schur
 decomposes the small matrix, locks Ritz blocks whose Arnoldi residual
 passes the tolerance, and thick-restarts with the locked vectors plus the
-best remaining Schur vectors.  Converged values are always validated by
-the residual |b^T y| of the (possibly generalized) coupling row, so every
-reported eigenvalue passed the test at lock time.
+best remaining Schur vectors, rotated in place in the one expansion's
+basis storage.  Converged values are always validated by the residual
+|b^T y| of the (possibly generalized) coupling row, so every reported
+eigenvalue passed the test at lock time.
 
 Each restart solves for the Ritz vectors once: an orthogonal reordering
 of the Schur form does not change a Ritz pair's residual |b^T y| (the
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .arnoldi import arnoldi, resume_arnoldi
+from .arnoldi import arnoldi
 from .errors import IterationLimitError
 from .kernels import mv_times_mat_add_mv, mv_trans_mv, norm2
 from .ledger import SyncLedger
@@ -65,22 +66,8 @@ class EigResult:
     lock_history: list = field(default_factory=list)  # invariant dim per restart
 
 
-def ritz_residual(hbar, y):
-    """Arnoldi residual |b^T y| from the coupling row of an extended H.
-
-    For a Hessenberg extension the coupling row is h_{n+1,n} e_n^T, so this
-    is |h_{n+1,n}| |e_n^T y|; generalized rows from Krylov-Schur restarts
-    are handled identically.
-    """
-    hbar = np.asarray(hbar)
-    k = hbar.shape[1]
-    if hbar.shape[0] == k:  # invariant subspace: no coupling row
-        return 0.0
-    return float(abs(hbar[k, :k] @ np.asarray(y)))
-
-
 @dataclass(frozen=True)
-class MatchReport:
+class EigenMatch:
     n_matched: int
     forward_errors: np.ndarray
     assignments: list  # (computed value, matched exact value) pairs
@@ -114,7 +101,7 @@ def match_eigenvalues(computed, table, tol):
         else:
             unmatched.append(x)
             over = over or len(near) > 0
-    return MatchReport(
+    return EigenMatch(
         n_matched=len(assignments),
         forward_errors=np.array(errors),
         assignments=assignments,
@@ -179,6 +166,7 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     ledger = ledger if ledger is not None else SyncLedger()
     rng = np.random.Generator(np.random.PCG64(seed))
     exp = arnoldi(op, rng.standard_normal(m), cfg.scheme, n_max + 1, ledger=ledger)
+    V = exp._v  # the basis storage: each restart rotates it in place
 
     nlock = 0
     lock_resid = []
@@ -188,7 +176,7 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     while True:
         while exp.order < n_max and exp.step():
             pass
-        v_mat, h_mat = exp.finalize()
+        h_mat = exp.finalize()[1]
         k = h_mat.shape[1]
         happy = exp.happy
         mm = h_mat[:k, :k].copy()
@@ -239,16 +227,13 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
             mm[nlock:, nlock:] = subform.t
             if nlock:
                 mm[:nlock, nlock:] = mm[:nlock, nlock:] @ subform.z
-            v_act = v_mat[:, nlock:k] @ subform.z
-
             p = nlock + p_active
-            v_keep = np.hstack([v_mat[:, :nlock], v_act])[:, :p]
+            V[:, nlock:p] = (V[:, nlock:k] @ subform.z)[:, :p_active]
             b_keep = np.concatenate([np.zeros(nlock), b_act])[:p]
             lock_resid.extend(np.repeat(resid[conv], sizes[conv]))
             nlock += conv_cols
         else:
             p = nlock
-            v_keep = v_mat[:, :p]
             happy = True
 
         done_full = nlock >= min(m, n_max)
@@ -257,17 +242,15 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
         if done_full or restarts >= cfg.max_restarts:
             break
 
-        # rebuild the decomposition and resume
+        # the next basis column follows the kept ones; restart from them
         if happy:
             if p >= n_max:
                 break
-            fresh = _fresh_direction(v_keep, rng, ledger)
-            v_next = np.hstack([v_keep, fresh[:, None]])
-            hbar = np.vstack([mm[:p, :p], np.zeros(p)])
+            V[:, p] = _fresh_direction(V[:, :p], rng, ledger)
+            b_keep = np.zeros(p)
         else:
-            v_next = np.hstack([v_keep, v_mat[:, k : k + 1]])
-            hbar = np.vstack([mm[:p, :p], b_keep])
-        exp = resume_arnoldi(op, v_next, hbar, cfg.scheme, n_max + 1, ledger=ledger)
+            V[:, p] = V[:, k]
+        exp.restart(V[:, : p + 1], np.vstack([mm[:p, :p], b_keep]))
 
     # extract locked Ritz values and vectors: one column per block, and the
     # second column of a 2x2 block is the conjugate of the first
@@ -276,7 +259,7 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     tails = _pair_tails(t_lock)
     cols = np.cumsum(~tails) - 1
     values = np.where(tails, vals[cols].conj(), vals[cols])
-    vectors = v_keep[:, :nlock] @ vecs[:, cols]
+    vectors = V[:, :nlock] @ vecs[:, cols]
     vectors[:, tails] = vectors[:, tails].conj()
     match = None if exact is None else match_eigenvalues(values.real, exact, cfg.tol)
 
@@ -296,8 +279,9 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
 def eig_diagnostics(a, full=True, max_order=3000):
     """Dense operator diagnostics: norms, conditioning, nonnormality.
 
-    With ``full`` the left/right eigenvector bases and per-eigenvalue
-    condition numbers are included (cubic-cost dense eigendecomposition).
+    With ``full`` the eigenvalues, the condition number of the right
+    eigenvector basis and the largest eigenvalue condition number are
+    included (cubic-cost dense eigendecomposition).
     """
     a = as_operator(a).to_dense(max_order=max_order)
     n = a.shape[0]
@@ -314,10 +298,8 @@ def eig_diagnostics(a, full=True, max_order=3000):
     if full:
         w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
         out["cond_right"] = float(np.linalg.cond(vr))
-        out["cond_left"] = float(np.linalg.cond(vl))
         overlap = np.abs(np.sum(vl.conj() * vr, axis=0))
         cond_eigs = 1.0 / np.maximum(overlap, np.finfo(float).tiny)
         out["cond_eig_max"] = float(np.max(cond_eigs))
-        out["cond_eig_min"] = float(np.min(cond_eigs))
         out["eigenvalues"] = w
     return out

@@ -163,10 +163,11 @@ def gmres_solve(op, b, cfg, x0=None, ledger=None):
     r = b - op.apply(x) if x0 is not None else b.copy()
     # an exactly zero residual leaves no start vector: x solves the system
     converged = not np.any(r)
+    exp = arnoldi(op, None, cfg.scheme, capacity=cycle_len + 1, ledger=ledger)
 
     while iters < cfg.max_iters and not converged and not breakdown:
         steps_budget = min(cycle_len, cfg.max_iters - iters)
-        exp = arnoldi(op, r, cfg.scheme, capacity=steps_budget + 1, ledger=ledger)
+        exp.restart(r)
         ls = None
         processed = 0
         no_progress = 0

@@ -12,7 +12,8 @@ operands, [Q, w] and [w, a], are views.
 A push copies its column once, into the column's home in the column-major
 basis storage, and every scheme builds and divides the basis vector there,
 whatever the layout of the pushed column.  ``finalize`` returns views of
-that storage, which is append-only.
+that storage, which is append-only until the expansion restarts
+(``reset``).
 
 Every projection subtracts, Y <- Y - Q C (``kernels.mv_times_mat_add_mv``,
 or a delayed push's one pass over the basis in row blocks, ``_DelayedState``);
@@ -157,6 +158,13 @@ class QrState:
         self._r[j, j] = alpha
         self.ncols += 1
 
+    def reset(self):
+        """Empty the state for a new factorization in the same storage; R
+        is zeroed, as ``_record`` leaves the rows below the diagonal be."""
+        self._r[:] = 0.0
+        self.ncols = self.npushed = 0
+        self.pending = self.vector_correction = None
+
     def adopt(self, V):
         """Append the externally orthonormalized columns of the m-by-k
         block V, with a unit R diagonal (no reductions)."""
@@ -178,8 +186,9 @@ class QrState:
         """Flush pending work and return (Q, R).
 
         Both are views of the state's storage, not copies: Q is
-        column-major (F-contiguous).  The storage is append-only, so a
-        later ``push`` or ``adopt`` leaves the returned Q and R unchanged.
+        column-major (F-contiguous).  The storage is append-only until the
+        expansion restarts (``reset``), so a later ``push`` or ``adopt``
+        leaves the returned Q and R unchanged.
         """
         self.flush()
         return self.q, self.r

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kls.arnoldi import ARNOLDI_SCHEMES, arnoldi, arnoldi_expand, resume_arnoldi
+from kls.arnoldi import ARNOLDI_SCHEMES, arnoldi, arnoldi_expand
 from kls.errors import DimensionError, NonFiniteError
 from kls.ledger import SyncLedger
 from kls.metrics import loss_of_orthogonality, representation_error_arnoldi
@@ -214,7 +214,8 @@ def test_capacity_guard(manteuffel10, start100):
 @pytest.mark.parametrize("scheme", ("cgs2", "mgs", "icwy-mgs", "dcgs2", "householder"))
 def test_resume_keeps_expansion_valid(scheme, manteuffel10, start100):
     v0, h0 = arnoldi_expand(manteuffel10, start100, "cgs2", steps=10)
-    exp = resume_arnoldi(manteuffel10, v0, h0, scheme, capacity=30)
+    exp = arnoldi(manteuffel10, None, scheme, capacity=30)
+    exp.restart(v0, h0)
     while exp.order < 25:
         exp.step()
     v, h = exp.finalize()
@@ -233,7 +234,8 @@ def test_resume_with_generalized_coupling_row(manteuffel10, start100):
     # is not exact, so instead verify only the newly appended columns satisfy
     # the relation residual restricted to new columns
     for scheme in ("cgs2", "dcgs2"):
-        exp = resume_arnoldi(manteuffel10, v0, hbar, scheme, capacity=20)
+        exp = arnoldi(manteuffel10, None, scheme, capacity=20)
+        exp.restart(v0, hbar)
         while exp.order < 14:
             exp.step()
         v, h = exp.finalize()
@@ -245,13 +247,51 @@ def test_resume_with_generalized_coupling_row(manteuffel10, start100):
 def test_resume_orthogonality_icwy_gram_seed(manteuffel10, start100):
     led = SyncLedger()
     v0, h0 = arnoldi_expand(manteuffel10, start100, "cgs2", steps=10)
-    exp = resume_arnoldi(manteuffel10, v0, h0, "icwy-mgs", capacity=30, ledger=led)
+    exp = arnoldi(manteuffel10, None, "icwy-mgs", capacity=30, ledger=led)
+    exp.restart(v0, h0)
     seeded = led.reductions  # one fused Gram reduction seeds L
     assert seeded == 1
     while exp.order < 20:
         exp.step()
     v, h = exp.finalize()
     assert loss_of_orthogonality(v) <= 1e-11
+
+
+def test_restart_rejects_mismatched_hbar(manteuffel10, start100):
+    v0, h0 = arnoldi_expand(manteuffel10, start100, "cgs2", steps=6)
+    exp = arnoldi(manteuffel10, None, "cgs2", capacity=10)
+    with pytest.raises(DimensionError):
+        exp.restart(v0, h0[:-1])
+
+
+@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+def test_restart_after_happy_breakdown_matches_fresh_expansion(scheme):
+    # reset must leave nothing of the last cycle: one expansion run to its
+    # happy breakdown, restarted from a decomposition with a dense coupling
+    # row (R entries below the diagonal), then from a new vector and back to
+    # a breakdown, gives in each cycle the bits of a fresh expansion begun
+    # the same way, ledger included
+    rng = np.random.Generator(np.random.PCG64(3))
+    a = scipy.linalg.block_diag(rng.standard_normal((4, 4)), rng.standard_normal((26, 26)))
+    op = DenseOperator(a)
+    v0, h0 = arnoldi_expand(op, rng.standard_normal(30), "cgs2", steps=2)
+    h0[2] = [0.3, 0.6]
+    cycles = [(np.r_[rng.standard_normal(4), np.zeros(26)], None), (v0, h0),
+              (rng.standard_normal(30), None), (np.r_[rng.standard_normal(4), np.zeros(26)], None)]
+    exp = arnoldi(op, None, scheme, capacity=12)
+    for i, (start, hbar) in enumerate(cycles):
+        exp.ledger.reset()
+        fresh = arnoldi(op, None, scheme, capacity=12)
+        runs = []
+        for e in (exp, fresh):
+            e.restart(start, hbar)
+            while e.order < 10 and e.step():
+                pass
+            v, h = e.finalize()
+            runs.append((e.happy, v.shape, h.shape, v.tobytes("F"), h.tobytes("F"),
+                         e.ledger.reductions, e.ledger.flops, dict(e.ledger.kernel_counts)))
+        assert runs[0] == runs[1], i
+        assert runs[0][0] == (i in (0, 3))
 
 
 def test_arnoldi_flop_overhead_is_quadratic(manteuffel10, start100):

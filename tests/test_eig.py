@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import kls.eig
-from kls.arnoldi import arnoldi_expand
+from kls.arnoldi import arnoldi, arnoldi_expand
 from kls.eig import (
     KrylovSchurConfig,
     _block_residuals,
     eig_diagnostics,
     krylov_schur_run,
     match_eigenvalues,
-    ritz_residual,
 )
 from kls.problems import (
     CsrOperator,
@@ -33,34 +32,22 @@ def table_of(values, mults):
 
 
 # ---------------------------------------------------------------------------
-# ritz_residual
+# _block_residuals
 
 
-def test_ritz_residual_unit_vector():
-    h = np.zeros((4, 3))
-    h[3, 2] = 0.5
-    y = np.array([0.0, 0.0, 1.0])
-    assert ritz_residual(h, y) == pytest.approx(0.5)
-
-
-def test_ritz_residual_happy_breakdown_zero():
-    h = np.zeros((4, 3))
-    assert ritz_residual(h, np.array([0.0, 0.0, 1.0])) == 0.0
-    assert ritz_residual(np.zeros((3, 3)), np.ones(3)) == 0.0  # square form
-
-
-def test_ritz_residual_matches_explicit_residual(rng):
+def test_block_residuals_match_explicit_residual(rng):
     op = DenseOperator(rng.standard_normal((40, 40)))
     v, h = arnoldi_expand(op, rng.standard_normal(40), "cgs2", steps=15)
     k = h.shape[1]
     form = hessenberg_real_schur(np.triu(h[:k, :k], -1))
     vals, vecs = schur_eigenvectors(form)
+    _, resid = _block_residuals(form.t, h[k, :k] @ form.z)
     a = op.to_dense()
     for i in range(len(vals)):
         y = vecs[:, i]
         z = v[:, :k] @ y
         explicit = np.linalg.norm(a @ z - vals[i] * z)
-        assert ritz_residual(h, y) == pytest.approx(explicit, rel=1e-6, abs=1e-8)
+        assert resid[i] == pytest.approx(explicit, rel=1e-6, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +138,22 @@ def test_invariant_dim_monotone_across_restarts():
         b >= a for a, b in zip(res.lock_history, res.lock_history[1:])
     )
     assert res.lock_history[-1] == res.invariant_dim
+
+
+@pytest.mark.parametrize("scheme", ("cgs2", "dcgs2"))
+def test_one_expansion_per_run(scheme, monkeypatch):
+    # every thick restart rotates the one expansion's basis in place
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return arnoldi(*args, **kwargs)
+
+    monkeypatch.setattr(kls.eig, "arnoldi", counted)
+    op = CsrOperator(manteuffel_build(ManteuffelSpec(k=7)))
+    cfg = KrylovSchurConfig(max_basis=20, tol=1e-7, scheme=scheme, max_restarts=15)
+    res = krylov_schur_run(op, cfg, seed=5)
+    assert res.restarts > 1 and len(calls) == 1
 
 
 def test_restart_budget_flags_incomplete():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kls.arnoldi import arnoldi_expand
+import kls.gmres
+from kls.arnoldi import arnoldi, arnoldi_expand
 from kls.gmres import GmresConfig, _GivensLS, backward_error, gmres_solve
 from kls.ledger import SyncLedger
 from kls.problems import (
@@ -204,6 +205,22 @@ def test_default_records_one_backward_error_per_cycle(manteuffel20):
     assert res.backward_error_iters.tolist() == [15, 30, 45, 50]
     assert len(res.backward_errors) == 4
     assert res.backward_errors[-1] == backward_error(op, res.x, b)
+
+
+@pytest.mark.parametrize("scheme", ("cgs2", "dcgs2"))
+def test_one_expansion_per_solve(scheme, manteuffel20, monkeypatch):
+    # every cycle restarts the one expansion in its own storage
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return arnoldi(*args, **kwargs)
+
+    monkeypatch.setattr(kls.gmres, "arnoldi", counted)
+    op, b = manteuffel20
+    res = gmres_solve(op, b, GmresConfig(max_iters=100, restart=30, scheme=scheme))
+    assert res.iterations == 100 and len(res.backward_errors) == 4
+    assert len(calls) == 1
 
 
 def test_stride_one_matches_independent_recomputation(manteuffel20):

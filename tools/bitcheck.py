@@ -6,7 +6,8 @@
 ``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 80
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
-resumed from a Hessenberg and from a dense coupling row, for every scheme;
+restarted from a Hessenberg and from a dense coupling row, for every scheme
+(keyed ``resume``, as before the restart API);
 GMRES(30) on Manteuffel k=20 and Krylov-Schur on Manteuffel k=10, against
 the exact spectrum and against it with every multiplicity cut to 1 (which
 raises the over-multiplicity flag), for cgs2, dcgs2, householder and
@@ -61,8 +62,7 @@ def dump(checkout, path):
     from kls.cli import main
     from kls import (CsrOperator, DenseOperator, EigenvalueTable, GmresConfig, KrylovSchurConfig,
                      ManteuffelSpec, SyncLedger, arnoldi, arnoldi_expand, gmres_solve, krylov_schur_run,
-                     manteuffel_build, manteuffel_eigenvalues, qr_factorize, resume_arnoldi,
-                     synthetic_kappa)
+                     manteuffel_build, manteuffel_eigenvalues, qr_factorize, synthetic_kappa)
     out = {}
     schemes = ("cgs", "cgs2", "cgs2-lagged", "mgs", "icwy-mgs", "dcgs2", "dcgs2-hrt",
                "householder")
@@ -110,7 +110,8 @@ def dump(checkout, path):
         for s in schemes:
             def resume(led):
                 m10.napply = 0
-                exp = resume_arnoldi(m10, v0, hb, s, capacity=30, ledger=led)
+                exp = arnoldi(m10, None, s, capacity=30, ledger=led)
+                exp.restart(v0, hb)
                 while exp.order < 25:
                     exp.step()
                 return exp.finalize(), m10.napply
