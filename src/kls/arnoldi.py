@@ -17,10 +17,12 @@ The immediate Gram-Schmidt schemes normalize the start vector locally, so
 per-iteration reduction counts start with the first projection step;
 ``householder`` pushes it as its first reflector.  The delayed schemes push
 the start vector unnormalized, emit it at the first step, and from then on
-push the image of the unnormalized pending vector (computed eagerly at stash
-time so the fused reduction consumes both blocks).  dcgs2 emits that vector
-corrected by Q c, so the image's coefficients take the Hessenberg correction
-K = T - H c / alpha, which completes one step later.
+push the image of the unnormalized pending vector, so the fused reduction
+consumes both blocks.  Each step is one operator apply and one push: the
+apply takes the column that push needs, the pending vector when the state
+holds one, else the last basis vector.  dcgs2 emits the pending vector
+corrected by Q c, and its push state gives the image's coefficients the
+Hessenberg correction K = T - H c / alpha (``ortho._DelayedState``).
 """
 
 import numpy as np
@@ -35,17 +37,15 @@ class _BaseArnoldi:
     """Expansion over a push state, which owns the basis and Hbar storage."""
 
     def __init__(self, op, start, scheme, capacity, ledger=None):
-        self.m = op.shape[0]
-        self.state = make_state(scheme, self.m, capacity, ledger=ledger)
         if capacity < 2:
             raise DimensionError("capacity of at least 2 basis vectors required")
+        self.state = make_state(scheme, op.shape[0], capacity, ledger=ledger)
         self.op = op
         self.capacity = capacity
         self.ledger = self.state.ledger
         self._v = self.state._q
         self._h = self.state._r[:, 1:]  # Hbar column j-1 is R column j
         self.happy = False
-        self._image = None  # operator image of the pending column
         if start is not None:
             self.restart(start)
 
@@ -70,7 +70,6 @@ class _BaseArnoldi:
                 )
         state.reset()
         self.happy = False
-        self._image = None
         if hbar is not None:
             state.adopt(start)
             self._h[: hbar.shape[0], : hbar.shape[1]] = hbar
@@ -79,8 +78,6 @@ class _BaseArnoldi:
         else:
             state.adopt((start / norm)[:, None])
             state._r[0, 0] = norm  # R of [start, A v0, ...] opens with it
-        if state.pending is not None:
-            self._image = self.op.apply(self._v[:, 0])
 
     # -- views ------------------------------------------------------------
     @property
@@ -126,27 +123,24 @@ class _BaseArnoldi:
 
     # -- contract ----------------------------------------------------------
     def step(self):
-        """Grow the expansion by one column; False once a happy breakdown hit."""
+        """Grow the expansion by one column, with one operator apply and one
+        push; False once a happy breakdown hit."""
         if self.happy:
             return False
+        if not self.size:
+            raise DimensionError("empty expansion: restart it from a start vector")
         if self.size >= self.capacity:
             raise DimensionError("expansion capacity exhausted")
-        j, state = self.nbasis, self.state
+        state = self.state
+        # the pending column when the state holds one, else the last basis vector
+        image = self.op.apply(self._v[:, self.size - 1])
         try:
-            if self._image is None:  # immediate scheme, or priming after a restart from Hbar
-                state.push(self.op.apply(self._v[:, j - 1]))
+            if state.pending is None:
+                state.push(image)
             else:
-                state.push(self._image, pending_image=True)
-                self.ledger.add_flops(self.m)  # the image's rescale by alpha
+                state.push(image, pending_image=True)
         except BreakdownError as err:
             return self._stop(err)
-        c = state.vector_correction
-        if state.ncols > j and c is not None:
-            hc = self._h[: j + 1, :j] @ c
-            self.ledger.add_flops(2 * (j + 1) * j)
-            state.pending = state.pending - hc / state.r[j, j]
-        if state.pending is not None:
-            self._image = self.op.apply(self._v[:, state.ncols])
         return True
 
     def finalize(self):
@@ -157,7 +151,6 @@ class _BaseArnoldi:
         until the expansion restarts, so a later ``step`` leaves the
         returned V and Hbar unchanged; ``restart`` rewrites them.
         """
-        self._image = None
         try:
             self.state.flush()
         except BreakdownError as err:
@@ -169,7 +162,6 @@ class _BaseArnoldi:
         coefficients over a zero diagonal, is Hbar's last."""
         if err.kind != "dependent":
             raise err
-        self._image = None
         self.happy = True
         return False
 
@@ -184,7 +176,6 @@ def arnoldi(op, start, scheme, capacity, ledger=None):
 def arnoldi_expand(op, start, scheme, steps, ledger=None):
     """Run a fixed-order expansion and return (V, Hbar)."""
     exp = arnoldi(op, start, scheme, capacity=steps + 1, ledger=ledger)
-    while exp.order < steps:
-        if not exp.step():
-            break
+    while exp.order < steps and exp.step():
+        pass
     return exp.finalize()

@@ -159,8 +159,7 @@ def _make_operator(args):
     if args.mtx:
         csr = parse_matrix_market(args.mtx)
         if csr.nrows != csr.ncols:
-            print("error: matrix must be square", file=sys.stderr)
-            raise SystemExit(2)
+            raise ValueError("matrix must be square")
         return CsrOperator(csr), f"mtx:{args.mtx}"
     spec = ManteuffelSpec(k=args.manteuffel_k, beta=args.beta)
     return CsrOperator(manteuffel_build(spec)), f"manteuffel:k={spec.k},beta={spec.beta}"
@@ -169,6 +168,8 @@ def _make_operator(args):
 def _arnoldi_reports(op, start, scheme, steps, stride):
     """Expand step by step; report (step, loo, rre, reductions, status) at
     every stride-th step, the last step and the step an error ends."""
+    if stride < 1:
+        raise ValueError("--stride must be >= 1")
     led = SyncLedger()
     out = []
     exp = arnoldi(op, start, scheme, capacity=steps + 1, ledger=led)
@@ -242,12 +243,8 @@ def _cmd_gmres(args):
     else:
         dims = _parse_list(args.laplace_dims, cast=int)
         if len(dims) != 3:
-            print("error: --laplace-dims needs nx,ny,nz", file=sys.stderr)
-            raise SystemExit(2)
+            raise ValueError("--laplace-dims needs nx,ny,nz")
         op, problem = laplace3d(*dims), f"laplace3d:{dims}"
-    if args.be_stride < 0:
-        print("error: --be-stride must be >= 0", file=sys.stderr)
-        raise SystemExit(2)
     b = op.apply(np.ones(op.n))
     b = b / np.linalg.norm(b)
 
@@ -412,12 +409,15 @@ def main(argv=None):
     args.scheme = args.scheme or args.default_schemes
     try:
         return args.func(args)
-    except MatrixMarketError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except _RUN_ERRORS as err:
         print(f"error: {_status(err)} halted the run: {err}", file=sys.stderr)
         return 4
+    except MatrixMarketError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except ValueError as err:  # a configuration the library rejects, as argparse does
+        print(f"error: {err}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

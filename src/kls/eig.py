@@ -50,6 +50,8 @@ class KrylovSchurConfig:
             raise ValueError("1 <= keep < max_basis required")
         if self.tol <= 0:
             raise ValueError("tol > 0 required")
+        if self.max_restarts < 1:
+            raise ValueError("max_restarts >= 1 required")
         object.__setattr__(self, "keep", keep)
 
 

@@ -34,6 +34,8 @@ class GmresConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters >= 1 required")
+        if self.restart < 0:
+            raise ValueError("restart >= 0 required")
         if self.rtol < 0:
             raise ValueError("rtol >= 0 required")
         if self.be_stride < 0:

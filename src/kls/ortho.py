@@ -74,10 +74,6 @@ class QrState:
 
     scheme_id = None
     delayed = False
-    #: coefficients c of the correction q = (w - Q c) / alpha that a delayed
-    #: scheme applied to the pending vector w it last emitted; None for the
-    #: schemes that emit the pending vector as held
-    vector_correction = None
 
     def __init__(self, m, n_cap, ledger=None):
         self.m = m
@@ -163,7 +159,7 @@ class QrState:
         is zeroed, as ``_record`` leaves the rows below the diagonal be."""
         self._r[:] = 0.0
         self.ncols = self.npushed = 0
-        self.pending = self.vector_correction = None
+        self.pending = None
 
     def adopt(self, V):
         """Append the externally orthonormalized columns of the m-by-k
@@ -289,25 +285,29 @@ class _DelayedState(QrState):
     column's norm and R column (``_emit_pending``, where a breakdown raises
     before [w, a] is touched) and the incoming coefficients (``_incoming``).
     Then one pass over the basis in row blocks (``_pass``) corrects the
-    pending column if the scheme reorthogonalizes it (dcgs2's
-    ``vector_correction``), divides it by its norm and projects the incoming
-    column, so that the second read of a block of Q comes from cache.  Each
-    step is an unblocked push's BLAS call or division on a row slice, with
-    its bits if the block starts on a multiple of 4 rows: OpenBLAS 0.3.31's
-    Haswell dgemv_n rounds a tail of under 4 rows apart, and starts on
-    multiples of 1 or 2 rows changed tall QR results.  Blocks start on
-    multiples of 64 rows, a multiple of any row grouping up to 64, which
-    kept the bits in every case measured.  The first push into an empty
-    basis only stashes its column; a push into an adopted basis with
+    pending column by Q c if the scheme reorthogonalizes it
+    (``corrects_vector``, dcgs2), divides it by its norm and projects the
+    incoming column, so that the second read of a block of Q comes from
+    cache.  Each step is an unblocked push's BLAS call or division on a row
+    slice, with its bits if the block starts on a multiple of 4 rows:
+    OpenBLAS 0.3.31's Haswell dgemv_n rounds a tail of under 4 rows apart,
+    and starts on multiples of 1 or 2 rows changed tall QR results.  Blocks
+    start on multiples of 64 rows, a multiple of any row grouping up to 64,
+    which kept the bits in every case measured.  The first push into an
+    empty basis only stashes its column; a push into an adopted basis with
     nothing pending primes with one projection.
 
     With ``pending_image=True`` the incoming column is the image of the
     unnormalized pending column rather than of its normalized form, as in
     an Arnoldi expansion: the push divides it and its coefficients by the
-    emitted norm.  A QR push divides by 1.0, which is exact.
+    emitted norm (a QR push divides by 1.0, which is exact).  It also
+    carries dcgs2's Hessenberg correction: after the pass, which projects
+    with them, the coefficients T become K = T - H c / alpha, H being R
+    without its first column.
     """
 
     delayed = True
+    corrects_vector = False  # emits the pending column w as (w - Q c) / alpha
 
     def _stash(self, coeffs, scale):
         """Hold the column at home, projected by coeffs, as pending."""
@@ -337,14 +337,19 @@ class _DelayedState(QrState):
         alpha = self._emit_pending(c, float(g[j, 0]))
         d = alpha if pending_image else 1.0
         coeffs = self._incoming(c, s, float(g[j, 1]), alpha, d)
-        self._pass(j, alpha, d, coeffs)
+        correction = c if self.corrects_vector else None
+        self._pass(j, alpha, d, coeffs, correction)
+        if pending_image:
+            self.ledger.add_flops(self.m)  # the image's division by alpha
+            if correction is not None:  # the Hessenberg correction
+                coeffs = coeffs - (self._r[: j + 1, 1 : j + 1] @ correction) / alpha
+                self.ledger.add_flops(2 * (j + 1) * j)
         self._stash(coeffs, scale / d)
 
-    def _pass(self, j, alpha, d, coeffs):
-        """w <- (w - Q c) / alpha (c the ``vector_correction``, if any), then
+    def _pass(self, j, alpha, d, coeffs, c):
+        """w <- (w - Q c) / alpha (w <- w / alpha with c None), then
         a <- a / d - [Q, w] coeffs, by row blocks; ledgered per projection."""
         w, a = self._q[:, j : j + 1], self._q[:, j + 1 : j + 2]
-        c = self.vector_correction
         if c is not None:
             self.ledger.record(MV_TIMES_MAT_ADD_MV, flops=2 * self.m * j)
         self.ledger.record(MV_TIMES_MAT_ADD_MV, flops=2 * self.m * (j + 1))
@@ -408,9 +413,8 @@ class IcwyMgsState(_DelayedState):
         if k == 0:
             return s
         self.ledger.add_flops(k * k)
-        return scipy.linalg.solve_triangular(
-            np.eye(k) + self._l[:k, :k], s, lower=True, unit_diagonal=True
-        )
+        # LAPACK reads no diagonal of a unit triangle: L's zeros stand for I
+        return scipy.linalg.solve_triangular(self._l[:k, :k], s, lower=True, unit_diagonal=True)
 
     def _emit_pending(self, c, beta):
         # the pending column's Gram row against Q becomes the L row
@@ -435,6 +439,7 @@ class Dcgs2State(_DelayedState):
     """
 
     scheme_id = "dcgs2"
+    corrects_vector = True
 
     def _emit_pending(self, c, beta):
         """Reorthogonalize, normalize, and emit the pending column."""
@@ -443,7 +448,6 @@ class Dcgs2State(_DelayedState):
         self._guard(coeffs, float(np.sqrt(max(beta, 0.0))), self._pscale)
         alpha = self._pythagorean_norm(beta, c, j)
         self._record(coeffs, alpha)
-        self.vector_correction = c  # the push's pass applies it
         return alpha
 
     def _incoming(self, c, s, s_piv, alpha, d):

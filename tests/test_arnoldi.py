@@ -4,6 +4,7 @@ import scipy.linalg
 
 from kls.arnoldi import ARNOLDI_SCHEMES, arnoldi, arnoldi_expand
 from kls.errors import DimensionError, NonFiniteError
+from kls.gmres import GmresConfig, gmres_solve
 from kls.ledger import SyncLedger
 from kls.metrics import loss_of_orthogonality, representation_error_arnoldi
 from kls.ortho import qr_factorize
@@ -81,8 +82,8 @@ def test_delayed_totals_steps_plus_two(manteuffel10, start100):
         v, h = arnoldi_expand(manteuffel10, start100, "dcgs2", steps=steps, ledger=led)
         assert led.reductions <= steps + 2
         assert v.shape[1] == steps + 1
-        # one operator application per step plus the eager start image
-        assert manteuffel10.napply == steps + 1
+        # one operator application per step
+        assert manteuffel10.napply == steps
 
 
 def test_icwy_totals_steps_plus_one(manteuffel10, start100):
@@ -201,6 +202,45 @@ def test_non_finite_start_raises_typed_error(scheme, bad):
 def test_zero_start_rejected():
     with pytest.raises(ValueError):
         arnoldi(DenseOperator(np.eye(3)), np.zeros(3), "cgs2", capacity=3)
+
+
+@pytest.mark.parametrize("capacity", (-1, 0, 1))
+def test_capacity_checked_before_the_storage(capacity, manteuffel10):
+    with pytest.raises(DimensionError, match="capacity of at least 2"):
+        arnoldi(manteuffel10, None, "dcgs2", capacity=capacity)
+
+
+@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+def test_step_before_restart_raises(scheme, manteuffel10):
+    # an empty expansion has no column to apply the operator to
+    exp = arnoldi(manteuffel10, None, scheme, capacity=5)
+    napply = manteuffel10.napply
+    with pytest.raises(DimensionError, match="empty expansion"):
+        exp.step()
+    assert manteuffel10.napply == napply and exp.size == 0
+
+
+@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+def test_one_apply_per_hessenberg_column(scheme, manteuffel10, start100):
+    # an n-step expansion makes n applies and finalize none; so does each
+    # step after a restart from Hbar; GMRES(30) over 300 iterations adds one
+    # restart residual per cycle
+    v0, h0 = arnoldi_expand(manteuffel10, start100, "cgs2", steps=10)
+    exp = arnoldi(manteuffel10, None, scheme, capacity=26)
+    for start, hbar in ((start100, None), (v0, h0)):
+        exp.restart(start, hbar)
+        order = exp.order
+        napply = manteuffel10.napply
+        while exp.order < 25:
+            assert exp.step()
+            assert manteuffel10.napply - napply == exp.order - order
+        exp.finalize()
+        assert manteuffel10.napply - napply == 25 - order
+    op = CsrOperator(manteuffel_build(ManteuffelSpec(k=200)))
+    b = op.apply(np.random.Generator(np.random.PCG64(1)).standard_normal(op.n))
+    op.napply = 0
+    res = gmres_solve(op, b, GmresConfig(max_iters=300, restart=30, scheme=scheme))
+    assert res.iterations == 300 and op.napply == 310
 
 
 def test_capacity_guard(manteuffel10, start100):

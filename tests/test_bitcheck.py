@@ -30,7 +30,7 @@ def test_bitcheck_compare_lists_each_difference(tmp_path):
 
     a = {("qr", "x"): ((np.zeros(3), 1), 4, 10, {"dot": 2}),
          ("qr", "y"): ((np.ones(2),), 4, 10, {"dot": 2})}
-    b = {("qr", "x"): ((np.array([0.0, 0.5, -2.0]), 1), 4, 12, {"dot": 2}),
+    b = {("qr", "x"): ((np.array([0.0, 0.5, -2.0]), 3), 4, 12, {"dot": 2}),
          ("qr", "y"): ((np.ones(2),), 4, 10, {"dot": 2})}
     paths = []
     for name, case in (("a.pkl", a), ("b.pkl", b)):
@@ -40,7 +40,9 @@ def test_bitcheck_compare_lists_each_difference(tmp_path):
     lines = _bitcheck("compare", *paths).splitlines()
     assert lines[0].startswith("2 cases, 1 differ")
     assert lines[1:] == [
-        "  ('qr', 'x'): max |diff| 2; reductions equal, flops differ, kernel counts equal"
+        "  ('qr', 'x'): max |diff| 2; reductions equal, flops differ, kernel counts equal",
+        "    [0]: arrays (3,) and (3,), max |diff| 2",
+        "    [1]: 1 -> 3",
     ]
 
 

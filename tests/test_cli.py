@@ -162,6 +162,32 @@ def test_mm_run_rejects_bad_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["arnoldi-stability", "--manteuffel-k", "4", "--stride", "0"],
+    ["arnoldi-stability", "--manteuffel-k", "4", "--steps", "0"],
+    ["arnoldi-stability", "--manteuffel-k", "0"],
+    ["mm-run", "--mtx", data_path("good_square_asym.mtx"), "--stride", "0"],
+    ["gmres", "--laplace-dims", "3,3,3", "--steps", "0"],
+    ["gmres", "--laplace-dims", "3,3,3", "--restart", "-3"],
+    ["gmres", "--laplace-dims", "3,3"],
+    ["gmres", "--mtx", data_path("good_general_rect.mtx")],
+    ["qr-stability", "--rows", "10", "--cols", "20"],
+    ["sync-count", "--rows", "10", "--cols", "20"],
+    ["eig", "--manteuffel-k", "4", "--restart-list", "1"],
+    ["eig", "--manteuffel-k", "4", "--tol", "0"],
+    ["eig", "--manteuffel-k", "4", "--max-restarts", "0"],
+])
+def test_configuration_error_exits_2(tmp_path, capsys, args):
+    # a configuration the library rejects: one error line, no CSV
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--out", str(out)])
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["qr-stability", "--scheme", "nonsense"])

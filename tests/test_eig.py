@@ -271,6 +271,8 @@ def test_config_validation():
         KrylovSchurConfig(max_basis=5, keep=5)
     with pytest.raises(ValueError):
         KrylovSchurConfig(max_basis=5, tol=0.0)
+    with pytest.raises(ValueError, match="max_restarts"):
+        KrylovSchurConfig(max_basis=5, max_restarts=0)
     cfg = KrylovSchurConfig(max_basis=10)
     assert cfg.keep == 5
 

@@ -24,6 +24,13 @@ def test_identity_converges_in_one_iteration():
     assert np.allclose(res.x, b, atol=1e-14)
 
 
+@pytest.mark.parametrize("field,value", (("max_iters", 0), ("restart", -3), ("rtol", -1.0),
+                                         ("be_stride", -1)))
+def test_config_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        GmresConfig(**{"max_iters": 5, field: value})
+
+
 def test_givens_least_squares_matches_lstsq(rng):
     hbar = np.triu(rng.standard_normal((7, 6)), -1)
     ls = _GivensLS(6, 2.0)
@@ -260,10 +267,10 @@ def test_backward_error_stride_leaves_the_solve_unchanged(scheme, manteuffel20):
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-@pytest.mark.parametrize("scheme,napply", (("cgs2", 310), ("dcgs2", 320)))
+@pytest.mark.parametrize("scheme,napply", (("cgs2", 310), ("dcgs2", 310)))
 def test_default_applies_once_per_iteration_and_cycle(scheme, napply):
-    # the benchmark's GMRES(30) part: 300 iterations in 10 cycles; the
-    # delayed scheme also applies the operator to each cycle's start vector
+    # the benchmark's GMRES(30) part: 300 iterations in 10 cycles, and one
+    # restart residual per cycle
     op = CsrOperator(manteuffel_build(ManteuffelSpec(k=200)))
     b = op.apply(np.random.Generator(np.random.PCG64(1)).standard_normal(op.n))
     op.napply = 0
@@ -273,8 +280,8 @@ def test_default_applies_once_per_iteration_and_cycle(scheme, napply):
     assert op.napply == napply
 
 
-@pytest.mark.parametrize("scheme,stride,napply", (("cgs2", 1, 600), ("dcgs2", 1, 610),
-                                                  ("cgs2", 30, 310), ("dcgs2", 30, 320)))
+@pytest.mark.parametrize("scheme,stride,napply", (("cgs2", 1, 600), ("dcgs2", 1, 600),
+                                                  ("cgs2", 30, 310), ("dcgs2", 30, 310)))
 def test_stride_value_at_cycle_end_costs_no_apply(scheme, stride, napply):
     # the same run with a stride: each stride value costs one apply, except
     # at a cycle's last iteration, where the restart residual gives it

@@ -377,14 +377,13 @@ def test_dcgs2_fused_reduction_reads_the_basis_in_place(case, rng):
         assert np.array_equal(out, row_major), j
 
 
-def _unblocked_pass(self, j, alpha, d, coeffs):
+def _unblocked_pass(self, j, alpha, d, coeffs, c):
     """A delayed push's vector work as whole columns: the correction and
     the projection as two update kernel calls, each with its division."""
     from kls.kernels import mv_times_mat_add_mv
 
-    if self.vector_correction is not None:
-        c = self.vector_correction[:, None]
-        mv_times_mat_add_mv(self._q[:, j : j + 1], self._q[:, :j], c, ledger=self.ledger)
+    if c is not None:
+        mv_times_mat_add_mv(self._q[:, j : j + 1], self._q[:, :j], c[:, None], ledger=self.ledger)
     self._q[:, j] /= alpha
     if d != 1.0:
         self._q[:, j + 1] /= d

@@ -22,11 +22,12 @@ code, plus ``gmres`` and ``arnoldi-stability`` on a Matrix Market file and
 Each case also records the ledger's reductions, flops and kernel counts.
 ``compare`` prints ``N cases, D differ: [...]``, then one line per
 differing case with the largest absolute difference over its arrays and
-numbers and whether its reductions, flops and
-kernel counts are equal.  Two outputs are the same only when every array is
-equal bit for bit.  Run ``dump`` once per
-checkout, in its own process.  Load only dumps this script wrote: unpickling
-runs code.
+numbers and whether its reductions, flops and kernel counts are equal, and
+under it one line per differing leaf of the output (the first ``LEAVES``):
+its index path, and both values of a scalar or the shapes and largest
+difference of an array.  Two outputs are the same only when every array is
+equal bit for bit.  Run ``dump`` once per checkout, in its own process.
+Load only dumps this script wrote: unpickling runs code.
 """
 
 import contextlib
@@ -197,6 +198,33 @@ def max_diff(a, b):
     return float(np.nan_to_num(d, nan=np.inf).max(initial=0.0))
 
 
+#: differing leaves listed per case
+LEAVES = 8
+
+
+def leaf_diffs(a, b, path=""):
+    """Yield (index path, a, b) for each differing leaf of two case outputs;
+    sequences whose type or length differ are leaves themselves."""
+    if isinstance(a, (tuple, list)) and type(a) is type(b) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from leaf_diffs(x, y, f"{path}[{i}]")
+    elif not same(a, b):
+        yield path, a, b
+
+
+def describe(a, b):
+    """Both values of a scalar leaf, or the shapes and largest difference of
+    an array leaf."""
+    import numpy as np
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return f"arrays {np.shape(a)} and {np.shape(b)}, max |diff| {max_diff(a, b):.3g}"
+
+    def short(x):
+        text = repr(x.item() if isinstance(x, np.generic) else x)
+        return text if len(text) <= 40 else text[:37] + "..."
+    return f"{short(a)} -> {short(b)}"
+
+
 def load(path):
     with open(path, "rb") as f:
         return pickle.load(f)
@@ -214,6 +242,11 @@ def compare(path_a, path_b):
         equal = ", ".join(f"{name} {'equal' if same(x, y) else 'differ'}" for name, x, y in
                           zip(("reductions", "flops", "kernel counts"), counts_a, counts_b))
         print(f"  {k}: max |diff| {max_diff(res_a, res_b):.3g}; {equal}")
+        leaves = list(leaf_diffs(res_a, res_b))
+        for path, x, y in leaves[:LEAVES]:
+            print(f"    {path or '(output)'}: {describe(x, y)}")
+        if len(leaves) > LEAVES:
+            print(f"    ... {len(leaves) - LEAVES} more leaves differ")
 
 
 if __name__ == "__main__":
