@@ -1,18 +1,17 @@
 """Experiment command line: desk-scale stability and cost studies, CSV out.
 
 Every subcommand is a sweep over points (a scheme, or a scheme and a swept
-value).  ``main`` resolves the seed and the default schemes; the
-subcommand's worker turns one point into rows of fields; ``_sweep`` runs
-the points, on ``--jobs`` threads for any subcommand, writes the CSV and
-derives the exit code from the row statuses.  Every CSV starts with ``#``
-comment lines carrying the library version and the full configuration, so
-a data file regenerates bit-for-bit from its own header.  Exit codes: 0
-success, 2 configuration error, 3 assertion failure (a sync-count ``FAIL``
-or an ``over-multiplicity`` row), 4 a numerical failure halted a run.
+value).  ``main`` resolves the default schemes; the subcommand's worker
+turns one point into rows of fields; ``_sweep`` runs the points, on
+``--jobs`` threads for any subcommand, writes the CSV and derives the exit
+code from the row statuses.  Every CSV starts with ``#`` comment lines
+carrying the library version and the full configuration, so a data file
+regenerates bit-for-bit from its own header.  Exit codes: 0 success, 2
+configuration error, 3 assertion failure (a sync-count ``FAIL`` or an
+``over-multiplicity`` row), 4 a numerical failure halted a run.
 """
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -37,7 +36,6 @@ from .problems import (
 )
 
 DEFAULT_SEED = 1729
-SEED_ENV = "KLS_DEFAULT_SEED"
 
 
 def _parse_list(text, cast=float):
@@ -59,19 +57,6 @@ def _list_of(cast):
         return text
 
     return check
-
-
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"error: bad {SEED_ENV}={env!r}", file=sys.stderr)
-            raise SystemExit(2)
-    return DEFAULT_SEED
 
 
 def _status(err):
@@ -170,6 +155,8 @@ def _arnoldi_reports(op, start, scheme, steps, stride):
     every stride-th step, the last step and the step an error ends."""
     if stride < 1:
         raise ValueError("--stride must be >= 1")
+    if steps < 1:
+        raise ValueError("--steps must be >= 1, on an operator of order >= 2")
     led = SyncLedger()
     out = []
     exp = arnoldi(op, start, scheme, capacity=steps + 1, ledger=led)
@@ -320,8 +307,8 @@ def _subcommand(sub, name, summary, func, schemes, choices=SCHEME_IDS):
     p = sub.add_parser(name, help=summary)
     p.add_argument("--scheme", action="append", choices=choices,
                    help="orthogonalization scheme (repeatable)")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default ${SEED_ENV} or {DEFAULT_SEED})")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"RNG seed (default {DEFAULT_SEED})")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     p.set_defaults(func=func, default_schemes=schemes)
@@ -405,9 +392,10 @@ def main(argv=None):
             setattr(args, dest, default)
         elif args.mtx:
             args.subparser.error(f"argument {flag}: not allowed with argument --mtx")
-    args.seed = _resolve_seed(args)
     args.scheme = args.scheme or args.default_schemes
     try:
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
         return args.func(args)
     except _RUN_ERRORS as err:
         print(f"error: {_status(err)} halted the run: {err}", file=sys.stderr)

@@ -29,30 +29,28 @@ from .schur import (
     hessenberg_real_schur,
     hessenberg_reduce,
     move_blocks_front,
+    pair_tails,
     schur_eigenvectors,
 )
 
 
 @dataclass(frozen=True)
 class KrylovSchurConfig:
-    """Restart policy: expand to ``max_basis``, keep ``keep`` active Schur
-    vectors (default max_basis // 2) plus every locked vector."""
+    """Restart policy: expand to ``max_basis``, keep max_basis // 2 active
+    Schur vectors plus every locked vector."""
 
     max_basis: int
-    keep: int = None
     tol: float = 1e-7
     max_restarts: int = 100
     scheme: str = "cgs2"
 
     def __post_init__(self):
-        keep = self.keep if self.keep is not None else max(1, self.max_basis // 2)
-        if not 1 <= keep < self.max_basis:
-            raise ValueError("1 <= keep < max_basis required")
+        if self.max_basis < 2:
+            raise ValueError("max_basis >= 2 required")
         if self.tol <= 0:
             raise ValueError("tol > 0 required")
         if self.max_restarts < 1:
             raise ValueError("max_restarts >= 1 required")
-        object.__setattr__(self, "keep", keep)
 
 
 @dataclass
@@ -119,15 +117,10 @@ def _schur_active(m_block):
     return SchurForm(form.t, u @ form.z)
 
 
-def _pair_tails(t):
-    """Flag the second column of each 2x2 diagonal block of T."""
-    return np.r_[False, np.diag(t, -1) != 0.0][: t.shape[0]]
-
-
 def _block_residuals(t, b_row):
     """Block sizes and per-block Arnoldi residuals |b^T y| of a
     quasi-triangular block, from one eigenvector solve."""
-    starts = np.flatnonzero(~_pair_tails(t))
+    starts = np.flatnonzero(~pair_tails(t))
     _, vecs = schur_eigenvectors(SchurForm(t, np.eye(t.shape[0])))
     return np.diff(np.append(starts, t.shape[0])), np.abs(b_row @ vecs)
 
@@ -201,7 +194,7 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
             if happy:
                 unconv_budget = na
             else:
-                unconv_budget = max(min(cfg.keep, k - 1 - nlock - conv_cols), 0)
+                unconv_budget = max(min(cfg.max_basis // 2, k - 1 - nlock - conv_cols), 0)
             sel = conv.copy()
             kept_unconv = 0
             for b in np.lexsort((resid, conv)):  # unconverged first, by residual
@@ -258,7 +251,7 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     # second column of a 2x2 block is the conjugate of the first
     t_lock = mm[:nlock, :nlock]
     vals, vecs = schur_eigenvectors(SchurForm(t_lock, np.eye(nlock)))
-    tails = _pair_tails(t_lock)
+    tails = pair_tails(t_lock)
     cols = np.cumsum(~tails) - 1
     values = np.where(tails, vals[cols].conj(), vals[cols])
     vectors = V[:, :nlock] @ vecs[:, cols]

@@ -121,14 +121,13 @@ class MatchReport:
         )
 
 
-def assert_matches(ledger, prediction, slack=None):
+def assert_matches(ledger, prediction):
     """Compare measured reductions against a prediction.
 
-    Passes when ``predicted <= measured <= predicted + slack``; the slack
-    defaults to the prediction's own finalization allowance.
+    Passes when ``predicted <= measured <= predicted + slack``, the slack
+    being the prediction's own finalization allowance.
     """
-    if slack is None:
-        slack = prediction.slack
+    slack = prediction.slack
     measured = ledger.reductions
     lo, hi = prediction.total_synchs, prediction.total_synchs + slack
     return MatchReport(

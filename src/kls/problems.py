@@ -4,7 +4,6 @@ The Manteuffel operator is assembled straight into row-sorted CSR, with no
 Python loop and no triplet sort, bit for bit as summed triplets would give.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,27 +173,20 @@ def as_operator(a):
 class ManteuffelSpec:
     """Central-difference convection-diffusion operator on a k-by-k grid.
 
-    The operator is (1/h^2) M + (beta/2h) N with M the five-point Laplacian
+    The operator is M + (beta/2) N with M the five-point Laplacian
     (symmetric positive definite) and N the centered first-difference
     coupling (skew-symmetric); m = k^2 unknowns.  The domain is
-    [0, L] x [0, L] with mesh width h = L/(k+1); the defaults L = k+1 and
-    h = 1 give the spectrum-controlled family used throughout the stability
-    experiments, real for beta*h <= 2.
+    [0, k+1] x [0, k+1], so the mesh width is h = 1: the
+    spectrum-controlled family used throughout the stability experiments,
+    real for |beta| <= 2.
     """
 
     k: int
     beta: float = 0.5
-    length: float = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k >= 1 required")
-        if self.length is None:
-            object.__setattr__(self, "length", float(self.k + 1))
-
-    @property
-    def h(self):
-        return self.length / (self.k + 1)
 
     @property
     def m(self):
@@ -227,14 +219,13 @@ def manteuffel_parts(spec):
 
 
 def manteuffel_build(spec):
-    """Assemble A = (1/h^2) M + (beta/2h) N straight into CSR.
+    """Assemble A = M + (beta/2) N straight into CSR.
 
     Each entry is what ``CsrMatrix.from_coo`` gives when it sums into 0.0
     the M entry, then the N entry, bit for bit.
     """
-    diff = 1.0 / (spec.h * spec.h)
-    conv = spec.beta / (2.0 * spec.h)
-    return _five_point(spec.k, 0.0 + -diff + -conv, 0.0 + diff * 4.0, 0.0 + -diff + conv)
+    conv = spec.beta / 2.0
+    return _five_point(spec.k, -1.0 - conv, 4.0, -1.0 + conv)
 
 
 @dataclass(frozen=True)
@@ -249,17 +240,14 @@ class EigenvalueTable:
 def manteuffel_eigenvalues(spec):
     """Closed-form spectrum of the convection-diffusion operator.
 
-    lambda_(l,j) = (2/h^2) [2 - sqrt(1 - (beta h / 2)^2)
-                              (cos(l pi/(k+1)) + cos(j pi/(k+1)))]
-    for l, j = 1..k, which at the default h = 1, L = k+1 is the usual
-    2 [2 - sqrt(1 - (beta/2)^2) (cos(l pi/L) + cos(j pi/L))].
+    lambda_(l,j) = 2 [2 - sqrt(1 - (beta/2)^2) (cos(l pi/(k+1)) + cos(j pi/(k+1)))]
+    for l, j = 1..k.
     """
-    bh = spec.beta * spec.h
-    if abs(bh) > 2.0:
-        raise ValueError("beta*h <= 2 required for a real spectrum")
-    radical = np.sqrt(1.0 - (bh / 2.0) ** 2)
+    if abs(spec.beta) > 2.0:
+        raise ValueError("|beta| <= 2 required for a real spectrum")
+    radical = np.sqrt(1.0 - (spec.beta / 2.0) ** 2)
     theta = np.cos(np.arange(1, spec.k + 1) * np.pi / (spec.k + 1))
-    lam = (2.0 / spec.h**2) * (2.0 - radical * (theta[:, None] + theta[None, :]))
+    lam = 2.0 * (2.0 - radical * (theta[:, None] + theta[None, :]))
     values = np.sort(lam.ravel())
     scale = max(abs(values[0]), abs(values[-1]), 1.0)
     unique, mult = [], []
@@ -357,24 +345,16 @@ def synthetic_kappa(m, n, kappa, seed):
 # Matrix Market coordinate format
 
 
-def _open_lines(source):
-    if hasattr(source, "read"):
-        return source
-    if isinstance(source, str) and source.lstrip().startswith("%%MatrixMarket"):
-        return io.StringIO(source)
-    return open(source, "r", encoding="ascii")
-
-
 def parse_matrix_market(source):
     """Parse a real coordinate Matrix Market file into CSR.
 
     Supports general, symmetric, and skew-symmetric real (or integer)
     matrices; the symmetric half is expanded.  Pattern and complex fields
-    are rejected.  Malformed input raises ``MatrixMarketError`` with the
-    offending line number.
+    are rejected.  ``source`` is a path or a file-like object.  Malformed
+    input raises ``MatrixMarketError`` with the offending line number.
     """
-    f = _open_lines(source)
-    close = f is not source and not isinstance(source, io.StringIO)
+    close = not hasattr(source, "read")
+    f = open(source, "r", encoding="ascii") if close else source
     try:
         header = f.readline()
         lineno = 1

@@ -3,7 +3,9 @@
 The services Krylov-Schur needs: Hessenberg reduction (``dgehrd``), the
 real Schur form of a Hessenberg matrix (``dgees``), stable reordering of
 diagonal blocks (``dtrsen``, the Bai-Demmel block swaps) and eigenvectors
-from the quasi-triangular factor.
+from the complex triangular form (``zgeev``, whose back-substitution is
+``ztrevc``).  ``pair_tails`` is the one map of the 1x1 and 2x2 diagonal
+blocks.
 """
 
 import numpy as np
@@ -11,8 +13,6 @@ import scipy.linalg
 from scipy.linalg.lapack import dtrsen
 
 from .errors import DimensionError, IterationLimitError, NonFiniteError
-
-_EPS = np.finfo(np.float64).eps
 
 
 class SchurForm:
@@ -32,13 +32,14 @@ class SchurForm:
 
     def blocks(self):
         """List of (start, size) diagonal blocks in diagonal order."""
-        return _blocks(self.t)
+        starts = np.flatnonzero(~pair_tails(self.t)).tolist()
+        return [(s, e - s) for s, e in zip(starts, starts[1:] + [self.order])]
 
     def eigenvalues(self):
         """Complex eigenvalues in diagonal-block order."""
         vals = []
         t = self.t
-        for start, size in _blocks(t):
+        for start, size in self.blocks():
             if size == 1:
                 vals.append(complex(t[start, start]))
             else:
@@ -46,15 +47,11 @@ class SchurForm:
         return np.array(vals, dtype=complex)
 
 
-def _blocks(t):
-    n = t.shape[0]
-    out = []
-    i = 0
-    while i < n:
-        size = 2 if i + 1 < n and t[i + 1, i] != 0.0 else 1
-        out.append((i, size))
-        i += size
-    return out
+def pair_tails(t):
+    """Flag the second column of each 2x2 diagonal block of T."""
+    tails = np.zeros(t.shape[0], dtype=bool)
+    tails[1:] = np.diag(t, -1) != 0.0
+    return tails
 
 
 def _eig_2x2(blk):
@@ -121,24 +118,15 @@ def schur_eigenvectors(form):
     its eigenvalue with positive imaginary part (the conjugate vector is
     the conjugate eigenvector).
 
-    The vectors come from one back-substitution on the complex triangular
-    form; a near-singular pivot T_ii - T_jj (a repeated eigenvalue) is
-    raised to eps * max(||T||, |lambda|, 1), the standard safeguard.
+    The vectors come from LAPACK (``zgeev``, hence ``ztrevc``) on the
+    complex triangular form, which keeps its diagonal order; each is scaled
+    so that its own component is 1 before it is mapped back by Z.  A
+    near-singular pivot T_ii - T_jj (a repeated eigenvalue) is raised to
+    max(eps |lambda_j|, smlnum), LAPACK's safeguard.
     """
-    n = form.order
-    tc, zc = scipy.linalg.rsf2csf(form.t, form.z)
-    lam = np.diag(tc)
-    smin = _EPS * np.maximum(max(np.linalg.norm(form.t, ord=np.inf), 1.0), np.abs(lam))
-    # x[:, j] solves (T - lam_j I) x = 0 with x_j = 1, rows bottom up
-    x = np.eye(n, dtype=complex)
-    for i in range(n - 2, -1, -1):
-        piv = tc[i, i] - lam[i + 1 :]
-        small = np.abs(piv) < smin[i + 1 :]
-        piv[small] = smin[i + 1 :][small]
-        x[i, i + 1 :] = -(tc[i, i + 1 :] @ x[i + 1 :, i + 1 :]) / piv
-    cols = [
-        start if size == 1 or lam[start].imag > 0 else start + 1
-        for start, size in form.blocks()
-    ]
-    y = zc @ x[:, cols]
+    tc, zc = scipy.linalg.rsf2csf(form.t, form.z, check_finite=False)
+    lam, x = scipy.linalg.eig(tc, overwrite_a=True, check_finite=False)
+    cols = np.flatnonzero(~pair_tails(form.t))
+    cols[lam[cols].imag < 0] += 1
+    y = zc @ (x[:, cols] / x[cols, cols])
     return lam[cols], y / np.linalg.norm(y, axis=0)

@@ -176,6 +176,7 @@ def test_mm_run_rejects_bad_file(tmp_path):
     ["eig", "--manteuffel-k", "4", "--restart-list", "1"],
     ["eig", "--manteuffel-k", "4", "--tol", "0"],
     ["eig", "--manteuffel-k", "4", "--max-restarts", "0"],
+    ["sync-count", "--rows", "10", "--cols", "4", "--jobs", "0"],
 ])
 def test_configuration_error_exits_2(tmp_path, capsys, args):
     # a configuration the library rejects: one error line, no CSV
@@ -194,16 +195,23 @@ def test_bad_flag_exits_2():
     assert err.value.code == 2
 
 
-def test_env_seed_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("KLS_DEFAULT_SEED", "777")
-    _, a = run_csv(tmp_path, ["qr-stability", "--kappa-list", "1e0",
-                              "--scheme", "cgs", "--rows", "40", "--cols", "5"], "a.csv")
-    monkeypatch.delenv("KLS_DEFAULT_SEED")
-    _, b = run_csv(tmp_path, ["qr-stability", "--kappa-list", "1e0",
-                              "--scheme", "cgs", "--rows", "40", "--cols", "5",
-                              "--seed", "777"], "b.csv")
-    assert rows_of(a) == rows_of(b)
-    assert "# seed: 777" in a
+def test_seed_defaults_to_1729(tmp_path):
+    args = ["qr-stability", "--kappa-list", "1e0", "--scheme", "cgs", "--rows", "40",
+            "--cols", "5"]
+    _, a = run_csv(tmp_path, args, "a.csv")
+    _, b = run_csv(tmp_path, args + ["--seed", "1729"], "b.csv")
+    assert a == b and "# seed: 1729" in a.splitlines()
+
+
+@pytest.mark.parametrize("args", [
+    ["arnoldi-stability", "--manteuffel-k", "4"],
+    ["mm-run", "--mtx", data_path("good_square_asym.mtx")],
+])
+def test_steps_below_one_names_the_flag(capsys, args):
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--steps", "0"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("error: --steps must be >= 1")
 
 
 def test_stdout_default(capsys):

@@ -267,14 +267,13 @@ def test_block_residuals_invariant_under_reorder(seed):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        KrylovSchurConfig(max_basis=5, keep=5)
+    with pytest.raises(ValueError, match="max_basis"):
+        KrylovSchurConfig(max_basis=1)
     with pytest.raises(ValueError):
         KrylovSchurConfig(max_basis=5, tol=0.0)
     with pytest.raises(ValueError, match="max_restarts"):
         KrylovSchurConfig(max_basis=5, max_restarts=0)
-    cfg = KrylovSchurConfig(max_basis=10)
-    assert cfg.keep == 5
+    assert KrylovSchurConfig(max_basis=2).max_basis == 2
 
 
 # ---------------------------------------------------------------------------

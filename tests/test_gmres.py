@@ -140,16 +140,6 @@ def test_zero_rhs():
     assert res.converged and np.all(res.x == 0.0)
 
 
-def test_exact_start_guess_converges_without_expansion():
-    op = DenseOperator(2 * np.eye(4))
-    led = SyncLedger()
-    x0 = np.full(4, 0.5)
-    res = gmres_solve(op, np.ones(4), GmresConfig(max_iters=5), x0=x0, ledger=led)
-    assert res.converged and res.iterations == 0
-    assert np.array_equal(res.x, x0)
-    assert led.reductions == 0 and op.napply == 1  # only the start residual
-
-
 # ---------------------------------------------------------------------------
 # backward error
 

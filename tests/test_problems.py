@@ -107,14 +107,6 @@ def test_manteuffel_beta_zero_is_laplacian():
     assert np.allclose(table.values, expected, atol=1e-14)
 
 
-def test_manteuffel_nondefault_h_matches_assembly():
-    spec = ManteuffelSpec(k=4, beta=0.3, length=2.0)
-    assert spec.h == pytest.approx(0.4)
-    a = manteuffel_build(spec).to_dense()
-    ev = np.sort(np.linalg.eigvals(a).real)
-    assert np.max(np.abs(ev - manteuffel_eigenvalues(spec).values)) <= 1e-8
-
-
 def _manteuffel_coo(spec):
     """Reference assembly: the row-by-row stencil triplets of M and N, each
     summed by ``from_coo``, then the scaled parts summed by ``from_coo``."""
@@ -132,7 +124,7 @@ def _manteuffel_coo(spec):
                     n_rows.append(r), n_cols.append(nb), n_vals.append(sign)
     mm = CsrMatrix.from_coo(spec.m, spec.m, m_rows, m_cols, m_vals)
     nn = CsrMatrix.from_coo(spec.m, spec.m, n_rows, n_cols, n_vals)
-    diff, conv = 1.0 / (spec.h * spec.h), spec.beta / (2.0 * spec.h)
+    diff, conv = 1.0, spec.beta / 2.0
     rows = [np.repeat(np.arange(spec.m), np.diff(p.indptr)) for p in (mm, nn)]
     a = CsrMatrix.from_coo(spec.m, spec.m, np.concatenate(rows),
                            np.concatenate([mm.indices, nn.indices]),
@@ -146,10 +138,15 @@ def _bits(csr):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 20])
-@pytest.mark.parametrize("beta,length", [(0.0, None), (0.5, None), (-1.3, None),
-                                         (2.0, None), (0.3, 2.0)])
-def test_manteuffel_assembly_bitwise_equals_coo_reference(k, beta, length):
-    spec = ManteuffelSpec(k=k, beta=beta, length=length)
+# the ids are the names these cases had when the spec also took a domain
+# length ("None": the default, h = 1; "2.0": h = 2/(k+1), now run at h = 1)
+@pytest.mark.parametrize("beta", [
+    pytest.param(beta, id=name) for beta, name in (
+        (0.0, "0.0-None"), (0.5, "0.5-None"), (-1.3, "-1.3-None"), (2.0, "2.0-None"),
+        (0.3, "0.3-2.0"))
+])
+def test_manteuffel_assembly_bitwise_equals_coo_reference(k, beta):
+    spec = ManteuffelSpec(k=k, beta=beta)
     built = (manteuffel_build(spec), *manteuffel_parts(spec))
     for got, want in zip(built, _manteuffel_coo(spec)):
         assert _bits(got) == _bits(want)
@@ -297,7 +294,7 @@ def test_roundtrip_random_csr(rng):
 
 def test_parse_from_string():
     csr = parse_matrix_market(
-        "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 -3.5\n"
+        io.StringIO("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 -3.5\n")
     )
     assert csr.to_dense()[0, 0] == -3.5
 

@@ -173,6 +173,41 @@ def test_eigenvectors_residual(rng):
         assert np.linalg.norm(vecs[:, i]) == pytest.approx(1.0, rel=1e-12)
 
 
+def _order_contract_form(kind):
+    """A real Schur form on which LAPACK's balancing could permute."""
+    gen = np.random.Generator(np.random.PCG64(31))
+    if kind == "diagonal":
+        t = np.diag([3.0, -1.0, 2.0, 0.5, -1.0, 0.0])
+    elif kind == "zero-rows":
+        t = np.triu(gen.standard_normal((7, 7)))
+        t[[1, 4, 6], :] = 0.0  # rows 1, 4 and 6 hold only their diagonal entry
+        t[[1, 4, 6], [1, 4, 6]] = [2.0, -0.5, 1.5]
+        t[2:4, 2:4] = [[0.5, 2.0], [-0.5, 0.5]]
+    else:  # exactly repeated real eigenvalues and repeated 2x2 pairs
+        t = np.triu(gen.standard_normal((9, 9)))
+        np.fill_diagonal(t, 2.0)
+        for start in (1, 5):
+            t[start : start + 2, start : start + 2] = [[-1.0, 3.0], [-0.75, -1.0]]
+    return SchurForm(t, random_orthogonal(t.shape[0], t.shape[0], seed=5))
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "zero-rows", "repeated"])
+def test_eigenvectors_keep_block_order(kind):
+    # the values are the chosen diagonal entries of the complex triangular
+    # form, bit for bit and in block order: the block map relies on it
+    form = _order_contract_form(kind)
+    n = form.order
+    vals, vecs = schur_eigenvectors(form)
+    tc = np.diag(scipy.linalg.rsf2csf(form.t, form.z)[0])
+    cols = [start if size == 1 or tc[start].imag > 0 else start + 1
+            for start, size in form.blocks()]
+    assert len(cols) < n or kind == "diagonal"
+    assert np.array_equal(vals, tc[cols])
+    a = form.z @ form.t @ form.z.T
+    for lam, y in zip(vals, vecs.T):
+        assert np.linalg.norm(a @ y - lam * y) <= 10 * n * EPS * np.linalg.norm(form.t)
+
+
 def test_hessenberg_reduce(rng):
     a = rng.standard_normal((30, 30))
     h, u = hessenberg_reduce(a)
