@@ -47,7 +47,6 @@ from .problems import (
     laplace3d,
     manteuffel_build,
     manteuffel_eigenvalues,
-    manteuffel_parts,
     parse_matrix_market,
     synthetic_kappa,
     write_matrix_market,

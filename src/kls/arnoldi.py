@@ -55,8 +55,13 @@ class _BaseArnoldi:
         vector ValueError) or, with ``hbar``, from A V_k = V_{k+1} Hbar:
         ``start`` holds the k+1 orthonormal columns, possibly a view of the
         storage's leading ones, and the (k+1)-by-k ``hbar`` may have a dense
-        coupling row (generalized Krylov-Schur form)."""
+        coupling row (generalized Krylov-Schur form).  A start whose rows
+        are not the operator's order raises DimensionError."""
         state, start = self.state, np.asarray(start, dtype=np.float64)
+        if start.ndim != (1 if hbar is None else 2) or start.shape[0] != state.m:
+            raise DimensionError(
+                f"{state.scheme_id}: start of {state.m} rows expected, got {start.shape}"
+            )
         if hbar is None:
             check_finite(start, state.scheme_id, 0)
             norm = float(np.linalg.norm(start))

@@ -7,8 +7,9 @@ turns one point into rows of fields; ``_sweep`` runs the points, on
 code from the row statuses.  Every CSV starts with ``#`` comment lines
 carrying the library version and the full configuration, so a data file
 regenerates bit-for-bit from its own header.  Exit codes: 0 success, 2
-configuration error, 3 assertion failure (a sync-count ``FAIL`` or an
-``over-multiplicity`` row), 4 a numerical failure halted a run.
+configuration error (a malformed or unreadable ``--mtx`` file included), 3
+assertion failure (a sync-count ``FAIL`` or an ``over-multiplicity`` row), 4
+a numerical failure halted a run.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .arnoldi import arnoldi
 from .eig import KrylovSchurConfig, krylov_schur_run
-from .errors import BreakdownError, IterationLimitError, MatrixMarketError, NonFiniteError
+from .errors import BreakdownError, IterationLimitError, NonFiniteError
 from .gmres import GmresConfig, gmres_solve
 from .ledger import SyncLedger, assert_matches, predicted_counts
 from .metrics import loss_of_orthogonality, representation_error_arnoldi, representation_error_qr
@@ -79,17 +80,15 @@ def _fmt(x):
 def _sweep(args, header_pairs, columns, points, worker):
     """Run ``worker`` on every point, write the CSV and return the exit code.
 
+    The points run on a pool of ``--jobs`` threads (one for ``--jobs 1``).
     ``worker`` returns the rows of one point, each a tuple of fields whose
-    last is the row status; the rows keep the order of ``points`` whatever
-    ``--jobs``.  The header records ``args.scheme``, ``header_pairs`` and
-    ``args.seed``.  The exit code is 4 when a numerical failure halted a
-    run, 3 on an over-multiplicity or FAIL row, else 0.
+    last is the row status; the rows keep the order of ``points``.  The
+    header records ``args.scheme``, ``header_pairs`` and ``args.seed``.  The
+    exit code is 4 when a numerical failure halted a run, 3 on an
+    over-multiplicity or FAIL row, else 0.
     """
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(worker, points))
-    else:
-        chunks = [worker(point) for point in points]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        chunks = list(pool.map(worker, points))
     rows = [row for chunk in chunks for row in chunk]
     pairs = [("schemes", "|".join(args.scheme)), *header_pairs, ("seed", args.seed)]
     lines = [f"# kls-bench {__version__}", f"# subcommand: {args.command}"]
@@ -141,11 +140,18 @@ def _cmd_qr_stability(args):
 
 
 def _make_operator(args):
+    """The operator of ``--mtx``, else of the subcommand's generator flags
+    (``--laplace-dims``, or the Manteuffel family), with its CSV label."""
     if args.mtx:
         csr = parse_matrix_market(args.mtx)
         if csr.nrows != csr.ncols:
             raise ValueError("matrix must be square")
         return CsrOperator(csr), f"mtx:{args.mtx}"
+    if hasattr(args, "laplace_dims"):
+        dims = _parse_list(args.laplace_dims, cast=int)
+        if len(dims) != 3:
+            raise ValueError("--laplace-dims needs nx,ny,nz")
+        return laplace3d(*dims), f"laplace3d:{dims}"
     spec = ManteuffelSpec(k=args.manteuffel_k, beta=args.beta)
     return CsrOperator(manteuffel_build(spec)), f"manteuffel:k={spec.k},beta={spec.beta}"
 
@@ -225,13 +231,7 @@ def _cmd_eig(args):
 
 
 def _cmd_gmres(args):
-    if args.mtx:
-        op, problem = _make_operator(args)
-    else:
-        dims = _parse_list(args.laplace_dims, cast=int)
-        if len(dims) != 3:
-            raise ValueError("--laplace-dims needs nx,ny,nz")
-        op, problem = laplace3d(*dims), f"laplace3d:{dims}"
+    op, problem = _make_operator(args)
     b = op.apply(np.ones(op.n))
     b = b / np.linalg.norm(b)
 
@@ -279,6 +279,8 @@ def _cmd_sync_count(args):
 
 
 def _cmd_mm_run(args):
+    if not args.tol >= 0:
+        raise ValueError(f"--tol must be >= 0, got {args.tol}")
     op, problem = _make_operator(args)
     steps = min(args.steps, op.n - 1)
     start = np.random.Generator(np.random.PCG64(args.seed)).standard_normal(op.n)
@@ -400,10 +402,7 @@ def main(argv=None):
     except _RUN_ERRORS as err:
         print(f"error: {_status(err)} halted the run: {err}", file=sys.stderr)
         return 4
-    except MatrixMarketError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:  # a configuration the library rejects, as argparse does
+    except (ValueError, OSError) as err:  # a configuration or input file the library rejects
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2) from None
 

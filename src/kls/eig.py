@@ -21,8 +21,9 @@ import scipy.linalg
 
 from .arnoldi import arnoldi
 from .errors import IterationLimitError
-from .kernels import mv_times_mat_add_mv, mv_trans_mv, norm2
+from .kernels import norm2
 from .ledger import SyncLedger
+from .ortho import cgs_pass
 from .problems import as_operator
 from .schur import (
     SchurForm,
@@ -47,8 +48,8 @@ class KrylovSchurConfig:
     def __post_init__(self):
         if self.max_basis < 2:
             raise ValueError("max_basis >= 2 required")
-        if self.tol <= 0:
-            raise ValueError("tol > 0 required")
+        if not self.tol > 0:
+            raise ValueError(f"tol > 0 required, got {self.tol}")
         if self.max_restarts < 1:
             raise ValueError("max_restarts >= 1 required")
 
@@ -129,13 +130,11 @@ def _fresh_direction(basis, rng, ledger):
     """Random start vector orthogonalized against a locked basis."""
     for _ in range(5):
         v = rng.standard_normal(basis.shape[0])
-        v = v[:, None]
         for _ in range(2):
-            s = mv_trans_mv(basis, v, ledger=ledger)
-            mv_times_mat_add_mv(v, basis, s, ledger=ledger)
-        nrm = norm2(v[:, 0], ledger=ledger)
+            cgs_pass(basis, v, ledger)
+        nrm = norm2(v, ledger=ledger)
         if nrm > 1e-8:
-            return v[:, 0] / nrm
+            return v / nrm
     raise RuntimeError("could not generate a direction outside the locked space")
 
 
@@ -271,17 +270,15 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     )
 
 
-def eig_diagnostics(a, full=True, max_order=3000):
+def eig_diagnostics(a, full=True):
     """Dense operator diagnostics: norms, conditioning, nonnormality.
 
-    With ``full`` the eigenvalues, the condition number of the right
-    eigenvector basis and the largest eigenvalue condition number are
-    included (cubic-cost dense eigendecomposition).
+    ``a`` is anything ``problems.as_operator`` takes, whose ``to_dense``
+    refuses orders above DENSE_MAX_ORDER.  With ``full`` the eigenvalues,
+    the right eigenvector basis's condition number and the largest
+    eigenvalue condition number are included (cubic-cost dense eig).
     """
-    a = as_operator(a).to_dense(max_order=max_order)
-    n = a.shape[0]
-    if n > max_order:
-        raise MemoryError(f"dense diagnostics of order {n} refused (limit {max_order})")
+    a = as_operator(a).to_dense()
     sv = np.linalg.svd(a, compute_uv=False)
     fro2 = float(np.sum(sv * sv))
     comm = a.T @ a - a @ a.T

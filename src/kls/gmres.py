@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import arnoldi
+from .errors import DimensionError
 from .ledger import SyncLedger
 from .problems import as_operator
 
@@ -36,8 +37,8 @@ class GmresConfig:
             raise ValueError("max_iters >= 1 required")
         if self.restart < 0:
             raise ValueError("restart >= 0 required")
-        if self.rtol < 0:
-            raise ValueError("rtol >= 0 required")
+        if not self.rtol >= 0:
+            raise ValueError(f"rtol >= 0 required, got {self.rtol}")
         if self.be_stride < 0:
             raise ValueError("be_stride >= 0 required")
 
@@ -53,7 +54,6 @@ class GmresResult:
     converged: bool
     stagnated: bool
     breakdown: bool  # happy breakdown: solution exact in the Krylov space
-    ledger: SyncLedger = None
 
 
 def backward_error(op, x, b, residual=None):
@@ -139,6 +139,8 @@ def gmres_solve(op, b, cfg, ledger=None):
     ledger = ledger if ledger is not None else SyncLedger()
     b = np.asarray(b, dtype=np.float64)
     m = op.shape[0]
+    if b.shape != (m,):
+        raise DimensionError(f"right-hand side of length {m} expected, got {b.shape}")
     x = np.zeros(m)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -152,7 +154,6 @@ def gmres_solve(op, b, cfg, ledger=None):
             converged=True,
             stagnated=False,
             breakdown=True,
-            ledger=ledger,
         )
 
     cycle_len = cfg.restart if cfg.restart > 0 else cfg.max_iters
@@ -237,5 +238,4 @@ def gmres_solve(op, b, cfg, ledger=None):
         converged=converged or breakdown,
         stagnated=stagnated,
         breakdown=breakdown,
-        ledger=ledger,
     )

@@ -22,8 +22,7 @@ REDUCING_CLASSES = frozenset({MV_TRANS_MV, MV_DOT})
 class SyncLedger:
     """Per-run counters of reducing kernel calls and nominal flops.
 
-    Counters are monotone while a run is active; ``reset`` is only meant to
-    be called between runs.
+    Counters only grow: a new run takes a new ledger.
     """
 
     reductions: int = 0
@@ -43,12 +42,6 @@ class SyncLedger:
     def add_flops(self, flops):
         """Account local (non-kernel) arithmetic, e.g. triangular solves."""
         self.flops += int(flops)
-
-    def reset(self):
-        self.reductions = 0
-        self.flops = 0
-        for k in self.kernel_counts:
-            self.kernel_counts[k] = 0
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ that storage, which is append-only until the expansion restarts
 
 Every projection subtracts, Y <- Y - Q C (``kernels.mv_times_mat_add_mv``,
 or a delayed push's one pass over the basis in row blocks, ``_DelayedState``);
+the classical pass c = Q^T w, w <- w - Q c is ``cgs_pass`` wherever it runs;
 ``icwy-mgs`` projects through the one inverse compact WY factor (I + L)^-1.
 
 These states are the only implementation of each scheme: the Arnoldi
@@ -52,6 +53,15 @@ def independent(alpha, scale, m):
     """True when a projected norm stands above the rounding noise of the
     projection, which reaches sqrt(m)*eps*scale."""
     return alpha > _EPS * np.sqrt(m) * scale
+
+
+def cgs_pass(Q, w, ledger):
+    """One classical Gram-Schmidt pass: c = Q^T w (one reduction), then
+    w <- w - Q c in place; returns c, 1-D."""
+    w = w[:, None]
+    c = mv_trans_mv(Q, w, ledger=ledger)[:, 0]
+    mv_times_mat_add_mv(w, Q, c[:, None], ledger=ledger)
+    return c
 
 
 def check_finite(a, scheme, step):
@@ -197,9 +207,7 @@ class CgsState(QrState):
 
     def push(self, a):
         u, scale = self._take(a)
-        Q = self.q
-        s = mv_trans_mv(Q, u[:, None], ledger=self.ledger)[:, 0]
-        mv_times_mat_add_mv(u[:, None], Q, s[:, None], ledger=self.ledger)
+        s = cgs_pass(self.q, u, self.ledger)
         alpha = norm2(u, ledger=self.ledger)
         self._guard(s, alpha, scale)
         self.npushed += 1
@@ -213,11 +221,8 @@ class Cgs2State(QrState):
 
     def push(self, a):
         u, scale = self._take(a)
-        Q, w = self.q, u[:, None]
-        s = mv_trans_mv(Q, w, ledger=self.ledger)[:, 0]
-        mv_times_mat_add_mv(w, Q, s[:, None], ledger=self.ledger)
-        c = mv_trans_mv(Q, w, ledger=self.ledger)[:, 0]
-        mv_times_mat_add_mv(w, Q, c[:, None], ledger=self.ledger)
+        s = cgs_pass(self.q, u, self.ledger)
+        c = cgs_pass(self.q, u, self.ledger)
         alpha = norm2(u, ledger=self.ledger)
         self._guard(s + c, alpha, scale)
         self.npushed += 1
@@ -239,9 +244,8 @@ class Cgs2LaggedState(QrState):
         u, scale = self._take(a)
         j = self.ncols
         Q = self.q
-        s = mv_trans_mv(Q, u[:, None], ledger=self.ledger)[:, 0]
+        s = cgs_pass(Q, u, self.ledger)
         w = self._q[:, j : j + 1]  # [Q, w] is then a view
-        mv_times_mat_add_mv(w, Q, s[:, None], ledger=self.ledger)
         fused = mv_trans_mv(self._q[:, : j + 1], w, ledger=self.ledger)[:, 0]
         c, beta = fused[:j], fused[j]
         self._guard(s + c, float(np.sqrt(max(beta, 0.0))), scale)
@@ -461,10 +465,7 @@ class Dcgs2State(_DelayedState):
         """Emit the pending column with a plain CGS2 pass: reorthogonalize
         it once more, then normalize it."""
         if self.pending is not None:
-            Q, w = self.q, self._q[:, self.ncols : self.ncols + 1]
-            c = mv_trans_mv(Q, w, ledger=self.ledger)[:, 0]
-            mv_times_mat_add_mv(w, Q, c[:, None], ledger=self.ledger)
-            self.pending = self.pending + c
+            self.pending = self.pending + cgs_pass(self.q, self._q[:, self.ncols], self.ledger)
         super().flush()
 
 

@@ -13,9 +13,17 @@ from .dense import random_orthogonal
 from .errors import DimensionError, MatrixMarketError
 
 
+#: the largest order ``LinearOperator.to_dense`` assembles
+DENSE_MAX_ORDER = 3000
+
+
 class LinearOperator:
-    """Square matrix action y = A x; subclasses implement ``_matvec`` and
-    ``frobenius_norm``, the exact norm, cached in ``_fro``.
+    """Square matrix action y = A x.
+
+    Subclasses implement ``_matvec``, ``_frobenius`` (the exact Frobenius
+    norm, which ``frobenius_norm`` computes once and caches) and, where the
+    columns-by-matvec default is not the cheapest, ``_dense``.
+    ``to_dense`` refuses every order above DENSE_MAX_ORDER.
 
     ``napply`` counts applications (one per matvec), which the Arnoldi
     instrumentation asserts against.
@@ -40,11 +48,20 @@ class LinearOperator:
     def _matvec(self, x):
         raise NotImplementedError
 
-    def to_dense(self, max_order=4000):
-        if self.n > max_order:
-            raise MemoryError(
-                f"dense assembly of order {self.n} refused (limit {max_order})"
-            )
+    def frobenius_norm(self):
+        if self._fro is None:
+            self._fro = self._frobenius()
+        return self._fro
+
+    def _frobenius(self):
+        raise NotImplementedError
+
+    def to_dense(self):
+        if self.n > DENSE_MAX_ORDER:
+            raise MemoryError(f"dense assembly of order {self.n} refused (limit {DENSE_MAX_ORDER})")
+        return self._dense()
+
+    def _dense(self):
         out = np.empty((self.n, self.n), order="F")
         e = np.zeros(self.n)
         for j in range(self.n):
@@ -65,13 +82,11 @@ class DenseOperator(LinearOperator):
     def _matvec(self, x):
         return self.a @ x
 
-    def to_dense(self, max_order=None):
+    def _dense(self):
         return self.a.copy()
 
-    def frobenius_norm(self):
-        if self._fro is None:
-            self._fro = float(np.linalg.norm(self.a))
-        return self._fro
+    def _frobenius(self):
+        return float(np.linalg.norm(self.a))
 
 
 @dataclass(frozen=True)
@@ -146,17 +161,11 @@ class CsrOperator(LinearOperator):
     def _matvec(self, x):
         return self.csr.matvec(x)
 
-    def to_dense(self, max_order=4000):
-        if self.n > max_order:
-            raise MemoryError(
-                f"dense assembly of order {self.n} refused (limit {max_order})"
-            )
+    def _dense(self):
         return self.csr.to_dense()
 
-    def frobenius_norm(self):
-        if self._fro is None:
-            self._fro = self.csr.frobenius_norm()
-        return self._fro
+    def _frobenius(self):
+        return self.csr.frobenius_norm()
 
 
 def as_operator(a):
@@ -187,45 +196,31 @@ class ManteuffelSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k >= 1 required")
+        if not np.isfinite(self.beta):
+            raise ValueError(f"finite beta required, got {self.beta}")
 
     @property
     def m(self):
         return self.k * self.k
 
 
-def _five_point(k, lower, diag, upper):
-    """The five-point stencil on a k-by-k grid as CSR, built row-sorted: row
-    r = blk*k + i holds r-k, r-1, r, r+1, r+k (distinct and ascending for
-    k >= 2) where they lie on the grid, valued ``lower`` below the diagonal,
-    ``upper`` above it and ``diag`` on it (``None``: no diagonal entry)."""
-    m = k * k
-    r = np.arange(m, dtype=np.int64)
-    blk, i = np.divmod(r, k)
-    on_grid = np.stack(
-        (blk > 0, i > 0, np.full(m, diag is not None), i < k - 1, blk < k - 1), 1
-    )
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(on_grid.sum(axis=1), out=indptr[1:])
-    cols = r[:, None] + np.array([-k, -1, 0, 1, k], dtype=np.int64)
-    vals = [lower, lower, 0.0 if diag is None else diag, upper, upper]
-    return CsrMatrix(m, m, indptr, cols[on_grid], np.broadcast_to(vals, (m, 5))[on_grid])
-
-
-def manteuffel_parts(spec):
-    """The diffusion part M (five-point Laplacian, symmetric positive
-    definite) and convection part N (centered differences, skew-symmetric),
-    both unscaled."""
-    return _five_point(spec.k, -1.0, 4.0, -1.0), _five_point(spec.k, -1.0, None, 1.0)
-
-
 def manteuffel_build(spec):
-    """Assemble A = M + (beta/2) N straight into CSR.
+    """Assemble A = M + (beta/2) N straight into CSR, row-sorted: row
+    r = blk*k + i holds r-k, r-1, r, r+1, r+k (distinct and ascending for
+    k >= 2) where they lie on the grid.
 
     Each entry is what ``CsrMatrix.from_coo`` gives when it sums into 0.0
     the M entry, then the N entry, bit for bit.
     """
-    conv = spec.beta / 2.0
-    return _five_point(spec.k, -1.0 - conv, 4.0, -1.0 + conv)
+    k, m, conv = spec.k, spec.m, spec.beta / 2.0
+    r = np.arange(m, dtype=np.int64)
+    blk, i = np.divmod(r, k)
+    on_grid = np.stack((blk > 0, i > 0, np.full(m, True), i < k - 1, blk < k - 1), 1)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(on_grid.sum(axis=1), out=indptr[1:])
+    cols = r[:, None] + np.array([-k, -1, 0, 1, k], dtype=np.int64)
+    vals = [-1.0 - conv, -1.0 - conv, 4.0, -1.0 + conv, -1.0 + conv]
+    return CsrMatrix(m, m, indptr, cols[on_grid], np.broadcast_to(vals, (m, 5))[on_grid])
 
 
 @dataclass(frozen=True)
@@ -310,14 +305,10 @@ class StencilLaplace3D(LinearOperator):
             np.concatenate(vals),
         )
 
-    def frobenius_norm(self):
-        if self._fro is None:
-            nx, ny, nz = self.dims
-            edges = (
-                (nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1)
-            )
-            self._fro = float(np.sqrt(36.0 * self.n + 2.0 * edges))
-        return self._fro
+    def _frobenius(self):
+        nx, ny, nz = self.dims
+        edges = (nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1)
+        return float(np.sqrt(36.0 * self.n + 2.0 * edges))
 
 
 def laplace3d(nx, ny, nz):
@@ -330,8 +321,8 @@ def synthetic_kappa(m, n, kappa, seed):
     U diag(sigma) V^T with log-spaced singular values from 1 down to
     1/kappa and deterministic random orthonormal factors.
     """
-    if kappa < 1.0:
-        raise ValueError("kappa >= 1 required")
+    if not 1.0 <= kappa < np.inf:
+        raise ValueError(f"finite kappa >= 1 required, got {kappa}")
     u = random_orthogonal(m, n, seed)
     v = random_orthogonal(n, n, seed + 1)
     if kappa == 1.0:
@@ -441,15 +432,12 @@ def parse_matrix_market(source):
     return CsrMatrix.from_coo(nrows, ncols, rows, cols, vals)
 
 
-def write_matrix_market(csr, target, comment=None):
+def write_matrix_market(csr, target):
     """Write CSR in coordinate real general format (stored entries as-is)."""
     f = target if hasattr(target, "write") else open(target, "w", encoding="ascii")
     close = f is not target
     try:
         f.write("%%MatrixMarket matrix coordinate real general\n")
-        if comment:
-            for ln in comment.splitlines():
-                f.write(f"% {ln}\n")
         f.write(f"{csr.nrows} {csr.ncols} {csr.nnz}\n")
         rows = np.repeat(np.arange(csr.nrows), np.diff(csr.indptr))
         for i, j, v in zip(rows, csr.indices, csr.data):

@@ -297,6 +297,19 @@ def test_resume_orthogonality_icwy_gram_seed(manteuffel10, start100):
     assert loss_of_orthogonality(v) <= 1e-11
 
 
+@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+def test_start_of_wrong_length_rejected(manteuffel10, start100, scheme):
+    # a short start must not broadcast into the basis, for a vector or a block
+    with pytest.raises(DimensionError, match="100 rows"):
+        arnoldi(manteuffel10, np.ones(1), scheme, 5)
+    exp = arnoldi(manteuffel10, None, scheme, capacity=10)
+    v0, h0 = arnoldi_expand(manteuffel10, start100, "cgs2", steps=3)
+    with pytest.raises(DimensionError, match="100 rows"):
+        exp.restart(v0[:50], h0)
+    with pytest.raises(DimensionError, match="100 rows"):
+        exp.restart(start100[:, None])
+
+
 def test_restart_rejects_mismatched_hbar(manteuffel10, start100):
     v0, h0 = arnoldi_expand(manteuffel10, start100, "cgs2", steps=6)
     exp = arnoldi(manteuffel10, None, "cgs2", capacity=10)
@@ -306,11 +319,11 @@ def test_restart_rejects_mismatched_hbar(manteuffel10, start100):
 
 @pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
 def test_restart_after_happy_breakdown_matches_fresh_expansion(scheme):
-    # reset must leave nothing of the last cycle: one expansion run to its
-    # happy breakdown, restarted from a decomposition with a dense coupling
-    # row (R entries below the diagonal), then from a new vector and back to
-    # a breakdown, gives in each cycle the bits of a fresh expansion begun
-    # the same way, ledger included
+    # a restart must leave nothing of the last cycle: one expansion run to
+    # its happy breakdown, restarted from a decomposition with a dense
+    # coupling row (R entries below the diagonal), then from a new vector and
+    # back to a breakdown, gives in each cycle the bits of a fresh expansion
+    # begun the same way, and the cycle's ledger delta is the fresh ledger
     rng = np.random.Generator(np.random.PCG64(3))
     a = scipy.linalg.block_diag(rng.standard_normal((4, 4)), rng.standard_normal((26, 26)))
     op = DenseOperator(a)
@@ -319,17 +332,21 @@ def test_restart_after_happy_breakdown_matches_fresh_expansion(scheme):
     cycles = [(np.r_[rng.standard_normal(4), np.zeros(26)], None), (v0, h0),
               (rng.standard_normal(30), None), (np.r_[rng.standard_normal(4), np.zeros(26)], None)]
     exp = arnoldi(op, None, scheme, capacity=12)
+    def totals(led):
+        return led.reductions, led.flops, dict(led.kernel_counts)
+
     for i, (start, hbar) in enumerate(cycles):
-        exp.ledger.reset()
         fresh = arnoldi(op, None, scheme, capacity=12)
         runs = []
         for e in (exp, fresh):
+            reductions, flops, counts = totals(e.ledger)
             e.restart(start, hbar)
             while e.order < 10 and e.step():
                 pass
             v, h = e.finalize()
             runs.append((e.happy, v.shape, h.shape, v.tobytes("F"), h.tobytes("F"),
-                         e.ledger.reductions, e.ledger.flops, dict(e.ledger.kernel_counts)))
+                         e.ledger.reductions - reductions, e.ledger.flops - flops,
+                         {k: n - counts[k] for k, n in e.ledger.kernel_counts.items()}))
         assert runs[0] == runs[1], i
         assert runs[0][0] == (i in (0, 3))
 

@@ -157,9 +157,9 @@ def test_mm_run_subcommand(tmp_path):
 
 
 def test_mm_run_rejects_bad_file(tmp_path):
-    code = main(["mm-run", "--mtx", data_path("bad_pattern.mtx"),
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["mm-run", "--mtx", data_path("bad_pattern.mtx"), "--out", str(tmp_path / "x.csv")])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("args", [
@@ -177,6 +177,16 @@ def test_mm_run_rejects_bad_file(tmp_path):
     ["eig", "--manteuffel-k", "4", "--tol", "0"],
     ["eig", "--manteuffel-k", "4", "--max-restarts", "0"],
     ["sync-count", "--rows", "10", "--cols", "4", "--jobs", "0"],
+    # NaN values, each rejected where it enters
+    ["eig", "--manteuffel-k", "4", "--restart-list", "8", "--max-restarts", "3", "--tol", "nan"],
+    ["eig", "--manteuffel-k", "4", "--beta", "nan"],
+    ["qr-stability", "--rows", "10", "--cols", "2", "--kappa-list", "nan"],
+    ["arnoldi-stability", "--manteuffel-k", "4", "--beta", "nan"],
+    ["mm-run", "--mtx", data_path("good_square_asym.mtx"), "--tol", "nan"],
+    ["mm-run", "--mtx", data_path("good_square_asym.mtx"), "--tol", "-1"],
+    # an unreadable file
+    ["mm-run", "--mtx", data_path("no_such_file.mtx")],
+    ["gmres", "--mtx", data_path("no_such_file.mtx")],
 ])
 def test_configuration_error_exits_2(tmp_path, capsys, args):
     # a configuration the library rejects: one error line, no CSV

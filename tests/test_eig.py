@@ -11,10 +11,12 @@ from kls.eig import (
     match_eigenvalues,
 )
 from kls.problems import (
+    DENSE_MAX_ORDER,
     CsrOperator,
     DenseOperator,
     EigenvalueTable,
     ManteuffelSpec,
+    laplace3d,
     manteuffel_build,
     manteuffel_eigenvalues,
 )
@@ -271,6 +273,8 @@ def test_config_validation():
         KrylovSchurConfig(max_basis=1)
     with pytest.raises(ValueError):
         KrylovSchurConfig(max_basis=5, tol=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        KrylovSchurConfig(max_basis=5, tol=float("nan"))
     with pytest.raises(ValueError, match="max_restarts"):
         KrylovSchurConfig(max_basis=5, max_restarts=0)
     assert KrylovSchurConfig(max_basis=2).max_basis == 2
@@ -304,11 +308,14 @@ def test_diagnostics_manteuffel_small_consistency():
 
 
 def test_diagnostics_memory_guard():
-    class Fake:
-        pass
-
+    # above DENSE_MAX_ORDER every operator refuses, a matrix-free one and a
+    # dense one (a zero-stride view, so nothing of order 3001 is allocated)
+    op = laplace3d(15, 15, 15)
+    assert op.n > DENSE_MAX_ORDER
     with pytest.raises(MemoryError):
-        eig_diagnostics(np.zeros((10, 10)), max_order=5)
+        eig_diagnostics(op)
+    with pytest.raises(MemoryError):
+        eig_diagnostics(np.broadcast_to(0.0, (DENSE_MAX_ORDER + 1,) * 2))
 
 
 def test_forward_errors_concentrate_on_ill_conditioned():

@@ -3,6 +3,7 @@ import pytest
 
 import kls.gmres
 from kls.arnoldi import arnoldi, arnoldi_expand
+from kls.errors import DimensionError
 from kls.gmres import GmresConfig, _GivensLS, backward_error, gmres_solve
 from kls.ledger import SyncLedger
 from kls.problems import (
@@ -25,10 +26,17 @@ def test_identity_converges_in_one_iteration():
 
 
 @pytest.mark.parametrize("field,value", (("max_iters", 0), ("restart", -3), ("rtol", -1.0),
-                                         ("be_stride", -1)))
+                                         ("be_stride", -1), ("rtol", float("nan"))))
 def test_config_validation(field, value):
     with pytest.raises(ValueError, match=field):
         GmresConfig(**{"max_iters": 5, field: value})
+
+
+@pytest.mark.parametrize("scheme", ["cgs2", "dcgs2"])
+def test_right_hand_side_of_wrong_length_rejected(scheme):
+    op = DenseOperator(np.eye(25))
+    with pytest.raises(DimensionError, match="length 25"):
+        gmres_solve(op, np.ones(1), GmresConfig(max_iters=5, scheme=scheme))
 
 
 def test_givens_least_squares_matches_lstsq(rng):

@@ -15,7 +15,6 @@ from kls.problems import (
     laplace3d,
     manteuffel_build,
     manteuffel_eigenvalues,
-    manteuffel_parts,
     parse_matrix_market,
     synthetic_kappa,
     write_matrix_market,
@@ -81,11 +80,16 @@ def test_manteuffel_k2_eigenvalues_match_reference():
 
 
 def test_manteuffel_parts_symmetry_exact():
-    mm, nn = manteuffel_parts(ManteuffelSpec(k=6))
-    assert np.array_equal(mm.to_dense(), mm.to_dense().T)
-    assert np.array_equal(nn.to_dense(), -nn.to_dense().T)
-    # diffusion part positive definite
-    assert np.min(np.linalg.eigvalsh(mm.to_dense())) > 0
+    # at beta = 0.5 the symmetric part of A is the five-point Laplacian M,
+    # bit for bit and positive definite, and A - A^T is beta N, exactly skew
+    spec = ManteuffelSpec(k=6, beta=0.5)
+    a = manteuffel_build(spec).to_dense()
+    _, mm, nn = _manteuffel_coo(spec)
+    sym, skew = (a + a.T) / 2.0, a - a.T
+    assert np.array_equal(sym, mm.to_dense())
+    assert np.min(np.linalg.eigvalsh(sym)) > 0
+    assert np.array_equal(skew, -skew.T)
+    assert np.array_equal(skew, spec.beta * nn.to_dense())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 12])
@@ -147,13 +151,12 @@ def _bits(csr):
 ])
 def test_manteuffel_assembly_bitwise_equals_coo_reference(k, beta):
     spec = ManteuffelSpec(k=k, beta=beta)
-    built = (manteuffel_build(spec), *manteuffel_parts(spec))
-    for got, want in zip(built, _manteuffel_coo(spec)):
-        assert _bits(got) == _bits(want)
-        assert (got.indptr.dtype, got.indices.dtype, got.data.dtype) == (
-            np.int64, np.int64, np.float64)
-        for r in range(spec.m):
-            assert np.all(np.diff(got.indices[got.indptr[r]: got.indptr[r + 1]]) > 0)
+    got = manteuffel_build(spec)
+    assert _bits(got) == _bits(_manteuffel_coo(spec)[0])
+    assert (got.indptr.dtype, got.indices.dtype, got.data.dtype) == (
+        np.int64, np.int64, np.float64)
+    for r in range(spec.m):
+        assert np.all(np.diff(got.indices[got.indptr[r]: got.indptr[r + 1]]) > 0)
 
 
 def test_manteuffel_complex_spectrum_rejected():
@@ -161,6 +164,9 @@ def test_manteuffel_complex_spectrum_rejected():
         manteuffel_eigenvalues(ManteuffelSpec(k=3, beta=2.5))
     with pytest.raises(ValueError):
         ManteuffelSpec(k=0)
+    for beta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite beta"):
+            ManteuffelSpec(k=3, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +236,9 @@ def test_synthetic_kappa_deterministic():
 
 
 def test_synthetic_kappa_rejects_bad():
-    with pytest.raises(ValueError):
-        synthetic_kappa(10, 2, 0.5, seed=0)
+    for kappa in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            synthetic_kappa(10, 2, kappa, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +292,7 @@ def test_roundtrip_random_csr(rng):
     vals = rng.standard_normal(40)
     csr = CsrMatrix.from_coo(n, n, rows, cols, vals)
     buf = io.StringIO()
-    write_matrix_market(csr, buf, comment="roundtrip")
+    write_matrix_market(csr, buf)
     back = parse_matrix_market(io.StringIO(buf.getvalue()))
     assert np.array_equal(back.indptr, csr.indptr)
     assert np.array_equal(back.indices, csr.indices)

@@ -3,7 +3,7 @@
     python tools/bitcheck.py dump CHECKOUT OUT.pkl
     python tools/bitcheck.py compare A.pkl B.pkl
 
-``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 80
+``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 84
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 restarted from a Hessenberg and from a dense coupling row, for every scheme
@@ -14,7 +14,10 @@ raises the over-multiplicity flag), for cgs2, dcgs2, householder and
 icwy-mgs; cases that span several row blocks of a delayed push: QR of a
 30000x24 panel by icwy-mgs, dcgs2 and dcgs2-hrt, and dcgs2 GMRES(30) for 60
 iterations on Manteuffel k=100; the generators: the CSR arrays of Manteuffel k=10 and k=200, and
-2000x50 ``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12; and
+2000x50 ``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12; the
+operators: ``to_dense()`` and ``frobenius_norm()`` (twice, the second from
+its cache) of a ``DenseOperator``, a ``CsrOperator`` and a
+``StencilLaplace3D``, and ``eig_diagnostics`` on Manteuffel k=6; and
 one small run of each ``kls-bench`` subcommand, its stdout bytes and exit
 code, plus ``gmres`` and ``arnoldi-stability`` on a Matrix Market file and
 ``qr-stability`` and ``sync-count`` with ``--jobs 2`` (the file runs read
@@ -27,6 +30,8 @@ under it one line per differing leaf of the output (the first ``LEAVES``):
 its index path, and both values of a scalar or the shapes and largest
 difference of an array.  Two outputs are the same only when every array is
 equal bit for bit.  Run ``dump`` once per checkout, in its own process.
+A dump by an older script lacks the operator cases; dump both checkouts
+with one script to compare them.
 Load only dumps this script wrote: unpickling runs code.
 """
 
@@ -62,8 +67,9 @@ def dump(checkout, path):
     import numpy as np
     from kls.cli import main
     from kls import (CsrOperator, DenseOperator, EigenvalueTable, GmresConfig, KrylovSchurConfig,
-                     ManteuffelSpec, SyncLedger, arnoldi, arnoldi_expand, gmres_solve, krylov_schur_run,
-                     manteuffel_build, manteuffel_eigenvalues, qr_factorize, synthetic_kappa)
+                     ManteuffelSpec, SyncLedger, arnoldi, arnoldi_expand, eig_diagnostics, gmres_solve,
+                     krylov_schur_run, laplace3d, manteuffel_build, manteuffel_eigenvalues,
+                     qr_factorize, synthetic_kappa)
     out = {}
     schemes = ("cgs", "cgs2", "cgs2-lagged", "mgs", "icwy-mgs", "dcgs2", "dcgs2-hrt",
                "householder")
@@ -82,6 +88,17 @@ def dump(checkout, path):
         run(("problems", "manteuffel", k), lambda led: csr(k))
     for kappa in (1e0, 1e4, 1e8, 1e12):
         run(("problems", "kappa", kappa), lambda led: synthetic_kappa(2000, 50, kappa, 13))
+    a30 = np.random.Generator(np.random.PCG64(10)).standard_normal((30, 30))
+    operators = (("dense", DenseOperator(a30)), ("stencil", laplace3d(4, 3, 5)),
+                 ("csr", CsrOperator(manteuffel_build(ManteuffelSpec(k=6)))))
+    for name, op in operators:  # the second norm comes from the cache
+        run(("operator", name), lambda led: (op.to_dense(), op.frobenius_norm(),
+                                             op.frobenius_norm()))
+
+    def diagnostics(led):
+        d = eig_diagnostics(CsrOperator(manteuffel_build(ManteuffelSpec(k=6))))
+        return tuple((key, d[key]) for key in sorted(d))
+    run(("eig-diagnostics", "m6"), diagnostics)
     panel = np.random.Generator(np.random.PCG64(11)).standard_normal((2000, 40))
     for name, a in (("panel", panel), ("kappa", synthetic_kappa(1000, 30, 1e10, 3))):
         for s in schemes:
