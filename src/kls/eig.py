@@ -145,15 +145,19 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     reorderings that follow are orthogonal, which leaves each residual
     |b^T y| unchanged, and keep the relative order within the moved group
     and within the rest, so the residuals and the locked front are carried
-    through them.  A Schur iteration or a reordering LAPACK cannot complete
-    raises IterationLimitError, which names the restart.  ``exact`` is an
-    optional EigenvalueTable: the reported values are matched against it
-    once, after the last restart, within ``cfg.tol``; the result carries
-    the matched count, and a value whose nearest exact eigenvalue is used
-    up sets the over-multiplicity flag.  The locked corner is never
-    rewritten, so this match sees what a match at every restart would.  The
-    returned invariant dimension counts locked Schur vectors and never
-    decreases.
+    through them.  The selection is one flag per column, so a block that
+    LAPACK's swaps split into two 1x1 blocks keeps its columns' flags.  Two
+    blocks merged into a 2x2 block across the converged boundary move
+    together (LAPACK's pair rule), one column more than the converged count;
+    that reordering, like a Schur iteration or a reordering LAPACK cannot
+    complete, raises IterationLimitError, which names the restart.
+    ``exact`` is an optional EigenvalueTable: the reported values are
+    matched against it once, after the last restart, within ``cfg.tol``;
+    the result carries the matched count, and a value whose nearest exact
+    eigenvalue is used up sets the over-multiplicity flag.  The locked
+    corner is never rewritten, so this match sees what a match at every
+    restart would.  The returned invariant dimension counts locked Schur
+    vectors and never decreases.
     """
     m = op.shape[0]
     n_max = min(cfg.max_basis, m)
@@ -206,9 +210,10 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
 
             # reorder: selected to the front, converged leading the selection;
             # the converged blocks are selected, so they then lead the
-            # selected group in their own order
-            lead = np.r_[conv[sel], np.zeros(np.count_nonzero(~sel), dtype=bool)]
-            if (move_blocks_front(subform, sel) != p_active
+            # selected group in their own order.  Both moves take one flag
+            # per column, ``lead`` in the column order after the first move
+            lead = np.r_[np.repeat(conv[sel], sizes[sel]), np.zeros(na - p_active, dtype=bool)]
+            if (move_blocks_front(subform, np.repeat(sel, sizes)) != p_active
                     or move_blocks_front(subform, lead) != conv_cols):
                 raise IterationLimitError(
                     f"{cfg.scheme}: Schur reordering failed in restart {restarts + 1}",

@@ -10,7 +10,11 @@ The normwise backward error is taken from the restart residual b - A x that
 each cycle forms anyway for the next cycle's start vector, so by default it
 is recorded once per cycle, at the cycle's last iteration.  A backward error
 at any other iteration needs the iterate x + V y (an m-by-j product) and one
-more operator apply; ``GmresConfig.be_stride`` opts into it.
+more operator apply; ``GmresConfig.be_stride`` opts into it.  Stride values
+are evaluated after their cycle, from the cycle's start iterate, the
+least-squares solution saved at their iteration and the leading columns
+of the basis, which stays append-only until the restart; a stride value
+at a cycle's last iteration is the restart residual's.
 """
 
 from dataclasses import dataclass
@@ -134,7 +138,8 @@ def gmres_solve(op, b, cfg, ledger=None):
     (no early abandon), matching the fixed-iteration experimental setup.
     The backward error is recorded at the end of every restart cycle and,
     with ``cfg.be_stride`` s > 0, also at every iteration i with
-    i % s == 0.
+    i % s == 0.  A zero right-hand side is a happy breakdown at x = 0: no
+    cycle runs, so nothing is applied or recorded.
     """
     ledger = ledger if ledger is not None else SyncLedger()
     b = np.asarray(b, dtype=np.float64)
@@ -143,19 +148,6 @@ def gmres_solve(op, b, cfg, ledger=None):
         raise DimensionError(f"right-hand side of length {m} expected, got {b.shape}")
     x = np.zeros(m)
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return GmresResult(
-            x=x,
-            residual_history=np.zeros(0),
-            backward_errors=np.zeros(0),
-            backward_error_iters=np.zeros(0, dtype=np.int64),
-            reduction_history=np.zeros(0, dtype=np.int64),
-            iterations=0,
-            converged=True,
-            stagnated=False,
-            breakdown=True,
-        )
-
     cycle_len = cfg.restart if cfg.restart > 0 else cfg.max_iters
     rel_hist = []
     be_hist = []
@@ -163,7 +155,7 @@ def gmres_solve(op, b, cfg, ledger=None):
     red_hist = []
     iters = 0
     stagnated = False
-    breakdown = False
+    breakdown = bnorm == 0.0  # x = 0 is exact: no cycle runs
     converged = False
     r = b.copy()
     exp = arnoldi(op, None, cfg.scheme, capacity=cycle_len + 1, ledger=ledger)
@@ -172,29 +164,20 @@ def gmres_solve(op, b, cfg, ledger=None):
         steps_budget = min(cycle_len, cfg.max_iters - iters)
         exp.restart(r)
         ls = None
-        processed = 0
         no_progress = 0
         best = np.inf
-        pending = None  # (iteration, y) of a stride value, until a later column
+        strides = []  # (iteration, y) of each stride value of this cycle
 
         def drain():
-            nonlocal processed, no_progress, best, stagnated
-            nonlocal ls, pending
-            while processed < exp.hcols:
-                if ls is None:
-                    ls = _GivensLS(steps_budget, exp.start_norm)
-                if pending is not None:
-                    it, y = pending
-                    be_hist.append(backward_error(op, x + exp.basis[:, : len(y)] @ y, b))
-                    be_iters.append(it)
-                    pending = None
-                absres = ls.append(exp._h[: processed + 2, processed])
-                rel = absres / bnorm
+            nonlocal no_progress, best, stagnated
+            while ls.ncols < exp.hcols:
+                j = ls.ncols
+                rel = ls.append(exp._h[: j + 2, j]) / bnorm
                 rel_hist.append(rel)
                 red_hist.append(ledger.reductions)
-                it = iters + processed + 1
+                it = iters + ls.ncols
                 if cfg.be_stride and it % cfg.be_stride == 0:
-                    pending = (it, ls.solve())
+                    strides.append((it, ls.solve()))
                 if rel < best * (1.0 - 1e-12):
                     best = rel
                     no_progress = 0
@@ -202,10 +185,11 @@ def gmres_solve(op, b, cfg, ledger=None):
                     no_progress += 1
                     if no_progress >= 20:
                         stagnated = True
-                processed += 1
 
         for _ in range(steps_budget):
             alive = exp.step()
+            if ls is None:  # v0, whose norm is beta, is out by the first step
+                ls = _GivensLS(steps_budget, exp.start_norm)
             drain()
             if not alive:
                 breakdown = True
@@ -214,12 +198,18 @@ def gmres_solve(op, b, cfg, ledger=None):
                 break
         v_mat, _ = exp.finalize()
         drain()
-        iters += processed
-        y = ls.solve() if ls is not None else np.zeros(0)
+        iters += ls.ncols
+        # the basis is append-only, so a stride value read from v_mat after
+        # the cycle is the one its iteration saw; the last iteration's value
+        # is the restart residual's
+        for it, y in strides:
+            if it < iters:
+                be_hist.append(backward_error(op, x + v_mat[:, : len(y)] @ y, b))
+                be_iters.append(it)
+        y = ls.solve()
         x = x + v_mat[:, : len(y)] @ y
         # the restart residual: the next cycle's start vector, and the
-        # backward error of this cycle's last iterate, which a pending
-        # stride value would have taken from the same x with one more apply
+        # backward error of this cycle's last iterate
         r = b - op.apply(x)
         be_hist.append(backward_error(op, x, b, residual=r))
         be_iters.append(iters)

@@ -91,21 +91,18 @@ def hessenberg_real_schur(H):
 
 
 def move_blocks_front(form, selected):
-    """Stably move the blocks flagged in ``selected`` to the leading corner.
+    """Stably move the flagged columns' diagonal blocks to the leading corner.
 
-    ``selected`` is one flag per diagonal block (in diagonal order); the
-    selected blocks and the others each keep their relative order.
-    Returns the total size of the moved group, or 0 when LAPACK finds two
-    blocks too close to swap: T and Z then stay a valid, partially
-    reordered Schur decomposition.
+    ``selected`` is LAPACK's format, one flag per column of T; a 2x2 block
+    moves when either of its columns is flagged (``dtrsen``'s pair rule).
+    The moved blocks and the others each keep their relative order.
+    Returns the number of columns moved, or 0 when LAPACK finds two blocks
+    too close to swap: T and Z then stay a valid, partially reordered Schur
+    decomposition.
     """
-    blocks = form.blocks()
-    if len(selected) != len(blocks):
-        raise DimensionError("one selection flag per diagonal block required")
-    if not blocks:
+    if not form.order:
         return 0
-    flags = np.repeat(np.asarray(selected, dtype=np.int32), [size for _, size in blocks])
-    t, z, _, _, moved, _, _, info = dtrsen(flags, form.t, form.z, job="N")
+    t, z, _, _, moved, _, _, info = dtrsen(selected, form.t, form.z, job="N")
     form.t, form.z = t, z
     return int(moved) if info == 0 else 0
 

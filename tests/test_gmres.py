@@ -143,9 +143,18 @@ def test_stagnation_flag_on_shift_operator():
 
 
 def test_zero_rhs():
+    # x = 0 is exact: a happy breakdown before any apply or reduction
     op = laplace3d(3, 3, 3)
-    res = gmres_solve(op, np.zeros(op.n), GmresConfig(max_iters=5))
+    ledger = SyncLedger()
+    res = gmres_solve(op, np.zeros(op.n), GmresConfig(max_iters=5), ledger=ledger)
     assert res.converged and np.all(res.x == 0.0)
+    assert res.iterations == 0
+    histories = (res.residual_history, res.backward_errors, res.backward_error_iters,
+                 res.reduction_history)
+    assert [h.size for h in histories] == [0, 0, 0, 0]
+    assert [h.dtype for h in histories] == [np.float64, np.float64, np.int64, np.int64]
+    assert res.breakdown and not res.stagnated
+    assert op.napply == 0 and ledger.reductions == 0
 
 
 # ---------------------------------------------------------------------------

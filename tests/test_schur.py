@@ -119,7 +119,8 @@ def test_sorted_by_magnitude(rng):
         mags = [abs(form.eigenvalues()[start]) for start, _ in form.blocks()]
         top = np.argsort(mags)[::-1][:k]
         want = sum(form.blocks()[b][1] for b in top)
-        assert move_blocks_front(form, [b in top for b in range(nblocks)]) == want
+        flags = np.repeat([b in top for b in range(nblocks)], [s for _, s in form.blocks()])
+        assert move_blocks_front(form, flags) == want
     check_form(h, form)
     after = form.eigenvalues()
     assert np.allclose(np.sort_complex(after), np.sort_complex(before), atol=1e-10)
@@ -139,7 +140,7 @@ def test_swap_adjacent_1x1(rng):
     )
     start = blocks[b][0]
     sel = [i < b or i == b + 1 for i in range(len(blocks))]
-    assert move_blocks_front(form, sel) == start + 1
+    assert move_blocks_front(form, np.repeat(sel, [size for _, size in blocks])) == start + 1
     check_form(h, form)
     after = form.eigenvalues()
     assert np.allclose(np.sort_complex(after), np.sort_complex(before), atol=1e-10)
@@ -154,7 +155,7 @@ def test_move_blocks_front(rng):
     blocks = form.blocks()
     sel = [i % 2 == 1 for i in range(len(blocks))]
     want = [form.eigenvalues()[blocks[i][0]] for i in range(len(blocks)) if sel[i]]
-    moved = move_blocks_front(form, sel)
+    moved = move_blocks_front(form, np.repeat(sel, [size for _, size in blocks]))
     check_form(h, form)
     assert moved == sum(blocks[i][1] for i in range(len(blocks)) if sel[i])
     got = [form.eigenvalues()[b[0]] for b in form.blocks()[: sum(sel)]]
@@ -249,9 +250,23 @@ def test_failed_swap_leaves_valid_form():
     t[2:, 2:] = [[0.0, 1.0], [-1.0, 0.0]]
     t[0, 2] = 1e-7
     form = SchurForm(t.copy(), np.eye(4))
-    assert move_blocks_front(form, [False, True]) == 0
+    assert move_blocks_front(form, [False, False, True, True]) == 0
     check_form(t, form)
     assert np.allclose(form.eigenvalues(), [1j, -1j, 1j, -1j])
+
+
+@pytest.mark.parametrize("flagged", [1, 2])
+def test_half_flagged_pair_moves_whole(flagged):
+    # LAPACK's pair rule: flagging either column of a 2x2 block moves the
+    # whole pair, and the count says so; Krylov-Schur detects a merge
+    # across its converged boundary by this count
+    t = np.array([[2.0, 0.5, 0.3], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    form = SchurForm(t.copy(), np.eye(3))
+    flags = [c == flagged for c in range(3)]
+    assert move_blocks_front(form, flags) == 2
+    check_form(t, form)
+    assert form.blocks() == [(0, 2), (2, 1)]
+    assert np.allclose(form.eigenvalues(), [1j, -1j, 2.0], atol=1e-12)
 
 
 def test_non_finite_input_raises():
@@ -312,7 +327,7 @@ def test_schur_layer_properties(h, data):
     blocks = form.blocks()
     sel = data.draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
     want = [spectrum[start + i] for (start, size), s in zip(blocks, sel) if s for i in range(size)]
-    moved = move_blocks_front(form, sel)
+    moved = move_blocks_front(form, np.repeat(sel, [size for _, size in blocks]))
     check_form(h, form)
     assert moved in (0, len(want))
     if moved:
