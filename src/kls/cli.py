@@ -45,16 +45,18 @@ def _parse_list(text, cast=float):
 
 def _list_of(cast):
     """The argparse type of a comma-separated list of ``cast`` values: it
-    rejects a malformed list under its flag's name and keeps the text as
-    typed, which the CSV header records."""
+    rejects a malformed or empty list under its flag's name and keeps the
+    text as typed, which the CSV header records."""
 
     def check(text):
         try:
-            _parse_list(text, cast)
+            values = _parse_list(text, cast)
         except ValueError:
+            values = []
+        if not values:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {cast.__name__} values, got {text!r}"
-            ) from None
+            )
         return text
 
     return check
@@ -231,6 +233,8 @@ def _cmd_eig(args):
 
 
 def _cmd_gmres(args):
+    if args.steps < 1:
+        raise ValueError("--steps must be >= 1")
     op, problem = _make_operator(args)
     b = op.apply(np.ones(op.n))
     b = b / np.linalg.norm(b)
@@ -273,28 +277,6 @@ def _cmd_sync_count(args):
         args,
         [("rows", args.rows), ("cols", args.cols)],
         "scheme,n,m,measured,predicted,slack,delta,status",
-        args.scheme,
-        worker,
-    )
-
-
-def _cmd_mm_run(args):
-    if not args.tol >= 0:
-        raise ValueError(f"--tol must be >= 0, got {args.tol}")
-    op, problem = _make_operator(args)
-    steps = min(args.steps, op.n - 1)
-    start = np.random.Generator(np.random.PCG64(args.seed)).standard_normal(op.n)
-
-    def worker(scheme):
-        # a breakdown row reports nan metrics, which count as above tol
-        reports = _arnoldi_reports(op, start, scheme, steps, args.stride)
-        return [(scheme, step, loo, rre, int(not loo <= args.tol), int(not rre <= args.tol), status)
-                for step, loo, rre, _, status in reports]
-
-    return _sweep(
-        args,
-        [("problem", problem), ("steps", steps), ("stride", args.stride), ("tol", args.tol)],
-        "scheme,step,loo,rre,loo_above_tol,rre_above_tol,status",
         args.scheme,
         worker,
     )
@@ -375,13 +357,6 @@ def build_parser():
                     _cmd_sync_count, PUSH_SCHEMES, choices=PUSH_SCHEMES)
     p.add_argument("--rows", type=int, default=5000)
     p.add_argument("--cols", type=int, default=50)
-
-    p = _subcommand(sub, "mm-run", "Matrix Market stability methodology",
-                    _cmd_mm_run, SCHEME_IDS)
-    p.add_argument("--mtx", required=True)
-    p.add_argument("--steps", type=int, default=75)
-    p.add_argument("--stride", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-7)
 
     return parser
 

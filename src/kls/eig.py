@@ -1,16 +1,17 @@
 """Krylov-Schur eigenvalue solver with locking and thick restarts.
 
 The solver expands an Arnoldi decomposition to the basis budget, Schur
-decomposes the small matrix, locks Ritz blocks whose Arnoldi residual
+decomposes the small matrix, locks Ritz pairs whose Arnoldi residual
 passes the tolerance, and thick-restarts with the locked vectors plus the
 best remaining Schur vectors, rotated in place in the one expansion's
 basis storage.  Converged values are always validated by the residual
 |b^T y| of the (possibly generalized) coupling row, so every reported
 eigenvalue passed the test at lock time.
 
-Each restart solves for the Ritz vectors once: an orthogonal reordering
-of the Schur form does not change a Ritz pair's residual |b^T y| (the
-Krylov-Schur invariance), so the residuals are carried through it.
+Each restart solves for the Ritz pairs once, one per column of the Schur
+form: an orthogonal reordering does not change a pair's residual |b^T y|
+(the Krylov-Schur invariance, Stewart 2001), so the residuals are carried
+through it column by column.
 Against an exact spectrum the reported values are matched once, at the end.
 """
 
@@ -118,14 +119,6 @@ def _schur_active(m_block):
     return SchurForm(form.t, u @ form.z)
 
 
-def _block_residuals(t, b_row):
-    """Block sizes and per-block Arnoldi residuals |b^T y| of a
-    quasi-triangular block, from one eigenvector solve."""
-    starts = np.flatnonzero(~pair_tails(t))
-    _, vecs = schur_eigenvectors(SchurForm(t, np.eye(t.shape[0])))
-    return np.diff(np.append(starts, t.shape[0])), np.abs(b_row @ vecs)
-
-
 def _fresh_direction(basis, rng, ledger):
     """Random start vector orthogonalized against a locked basis."""
     for _ in range(5):
@@ -141,16 +134,16 @@ def _fresh_direction(basis, rng, ledger):
 def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
     """Run Krylov-Schur on a square operator.
 
-    Each restart solves for the active block's Ritz vectors once.  The two
-    reorderings that follow are orthogonal, which leaves each residual
-    |b^T y| unchanged, and keep the relative order within the moved group
-    and within the rest, so the residuals and the locked front are carried
-    through them.  The selection is one flag per column, so a block that
-    LAPACK's swaps split into two 1x1 blocks keeps its columns' flags.  Two
-    blocks merged into a 2x2 block across the converged boundary move
-    together (LAPACK's pair rule), one column more than the converged count;
-    that reordering, like a Schur iteration or a reordering LAPACK cannot
-    complete, raises IterationLimitError, which names the restart.
+    Each restart solves for the active block's Ritz pairs once, one per
+    column.  The two reorderings that follow are orthogonal, which leaves
+    each residual |b^T y| unchanged, and keep the relative order within the
+    moved group and within the rest, so the residuals and the locked front
+    are carried through them column by column; a block that LAPACK's swaps
+    split into two 1x1 blocks keeps its columns' flags.  Two blocks merged
+    into a 2x2 block across the converged boundary move together (LAPACK's
+    pair rule), one column more than the converged count; that reordering,
+    like a Schur iteration or a reordering LAPACK cannot complete, raises
+    IterationLimitError, which names the restart.
     ``exact`` is an optional EigenvalueTable: the reported values are
     matched against it once, after the last restart, within ``cfg.tol``;
     the result carries the matched count, and a value whose nearest exact
@@ -188,32 +181,36 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
             except IterationLimitError as err:
                 err.restart = restarts + 1
                 raise
-            sizes, resid = _block_residuals(subform.t, b_row[nlock:] @ subform.z)
+            # one Ritz pair per column: a 2x2 block's two columns share
+            # their residual, so ``conv`` flags both or neither
+            resid = np.abs(b_row[nlock:] @ subform.z @ schur_eigenvectors(subform.t)[1])
             conv = resid < cfg.tol
 
-            # keep every converged block plus the lowest-residual survivors,
-            # leaving one column of expansion headroom (block aligned)
-            conv_cols = int(sizes[conv].sum())
+            # keep every converged column plus the lowest-residual surviving
+            # blocks, leaving one column of expansion headroom
+            conv_cols = int(conv.sum())
             if happy:
                 unconv_budget = na
             else:
                 unconv_budget = max(min(cfg.max_basis // 2, k - 1 - nlock - conv_cols), 0)
             sel = conv.copy()
             kept_unconv = 0
-            for b in np.lexsort((resid, conv)):  # unconverged first, by residual
-                if conv[b]:
+            starts = np.flatnonzero(~pair_tails(subform.t))
+            sizes = np.diff(np.append(starts, na))
+            for b in np.lexsort((resid[starts], conv[starts])):  # unconverged first
+                start, size = starts[b], sizes[b]
+                if conv[start]:
                     break
-                if kept_unconv + sizes[b] <= unconv_budget:
-                    sel[b] = True
-                    kept_unconv += sizes[b]
-            p_active = int(sizes[sel].sum())
+                if kept_unconv + size <= unconv_budget:  # a pair is kept whole
+                    sel[start : start + size] = True
+                    kept_unconv += size
+            p_active = int(sel.sum())
 
-            # reorder: selected to the front, converged leading the selection;
-            # the converged blocks are selected, so they then lead the
-            # selected group in their own order.  Both moves take one flag
-            # per column, ``lead`` in the column order after the first move
-            lead = np.r_[np.repeat(conv[sel], sizes[sel]), np.zeros(na - p_active, dtype=bool)]
-            if (move_blocks_front(subform, np.repeat(sel, sizes)) != p_active
+            # reorder: selected to the front, then the converged columns (all
+            # selected) to the front of those, in their own order; ``lead``
+            # flags the columns in their order after the first move
+            lead = np.r_[conv[sel], np.zeros(na - p_active, dtype=bool)]
+            if (move_blocks_front(subform, sel) != p_active
                     or move_blocks_front(subform, lead) != conv_cols):
                 raise IterationLimitError(
                     f"{cfg.scheme}: Schur reordering failed in restart {restarts + 1}",
@@ -229,7 +226,7 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
             p = nlock + p_active
             V[:, nlock:p] = (V[:, nlock:k] @ subform.z)[:, :p_active]
             b_keep = np.concatenate([np.zeros(nlock), b_act])[:p]
-            lock_resid.extend(np.repeat(resid[conv], sizes[conv]))
+            lock_resid.extend(resid[conv])
             nlock += conv_cols
         else:
             p = nlock
@@ -251,15 +248,8 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
             V[:, p] = V[:, k]
         exp.restart(V[:, : p + 1], np.vstack([mm[:p, :p], b_keep]))
 
-    # extract locked Ritz values and vectors: one column per block, and the
-    # second column of a 2x2 block is the conjugate of the first
-    t_lock = mm[:nlock, :nlock]
-    vals, vecs = schur_eigenvectors(SchurForm(t_lock, np.eye(nlock)))
-    tails = pair_tails(t_lock)
-    cols = np.cumsum(~tails) - 1
-    values = np.where(tails, vals[cols].conj(), vals[cols])
-    vectors = V[:, :nlock] @ vecs[:, cols]
-    vectors[:, tails] = vectors[:, tails].conj()
+    values, vecs = schur_eigenvectors(mm[:nlock, :nlock])
+    vectors = V[:, :nlock] @ vecs
     match = None if exact is None else match_eigenvalues(values.real, exact, cfg.tol)
 
     return EigResult(

@@ -61,37 +61,39 @@ class CostPrediction:
     slack: int
 
 
-# scheme -> (per-iteration synchs at column j, total for n columns,
-#            flop lead coefficient, finalization slack)
+# scheme -> (per-iteration synchs at column j, flop lead coefficient,
+#            finalization slack)
 # dcgs2-hrt drops the delayed vector correction entirely, so its lead
 # coefficient is 3 rather than the 4 of the corrected scheme
 _COSTS = {
-    "cgs": (lambda j: 2, lambda n: 2 * n, 2.0, 0),
-    "cgs2": (lambda j: 3, lambda n: 3 * n, 4.0, 0),
-    "cgs2-lagged": (lambda j: 2, lambda n: 2 * n, 4.0, 0),
-    "mgs": (lambda j: j, lambda n: n * (n + 1) // 2, 2.0, 0),
-    "icwy-mgs": (lambda j: 1, lambda n: n, 3.0, 0),
-    "dcgs2": (lambda j: 1, lambda n: n, 4.0, 2),
-    "dcgs2-hrt": (lambda j: 1, lambda n: n, 3.0, 2),
+    "cgs": (lambda j: 2, 2.0, 0),
+    "cgs2": (lambda j: 3, 4.0, 0),
+    "cgs2-lagged": (lambda j: 2, 4.0, 0),
+    "mgs": (lambda j: j, 2.0, 0),
+    "icwy-mgs": (lambda j: 1, 3.0, 0),
+    "dcgs2": (lambda j: 1, 4.0, 2),
+    "dcgs2-hrt": (lambda j: 1, 3.0, 2),
 }
+
+
+def _cost(scheme):
+    try:
+        return _COSTS[scheme]
+    except KeyError:
+        raise UnknownSchemeError(f"no cost model for scheme {scheme!r}") from None
 
 
 def per_iteration_synchs(scheme, j):
     """Predicted reductions spent on column j (1-based)."""
-    try:
-        return _COSTS[scheme][0](j)
-    except KeyError:
-        raise UnknownSchemeError(f"no cost model for scheme {scheme!r}") from None
+    return _cost(scheme)[0](j)
 
 
 def predicted_counts(scheme, n):
-    try:
-        per_iter, total, lead, slack = _COSTS[scheme]
-    except KeyError:
-        raise UnknownSchemeError(f"no cost model for scheme {scheme!r}") from None
-    return CostPrediction(
-        scheme=scheme, n=n, total_synchs=total(n), flop_lead=lead, slack=slack
-    )
+    """The per-iteration synchs summed over columns 1..n, with the scheme's
+    flop lead and slack."""
+    per_iter, lead, slack = _cost(scheme)
+    total = sum(per_iter(j) for j in range(1, n + 1))
+    return CostPrediction(scheme=scheme, n=n, total_synchs=total, flop_lead=lead, slack=slack)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ The services Krylov-Schur needs: Hessenberg reduction (``dgehrd``), the
 real Schur form of a Hessenberg matrix (``dgees``), stable reordering of
 diagonal blocks (``dtrsen``, the Bai-Demmel block swaps) and eigenvectors
 from the complex triangular form (``zgeev``, whose back-substitution is
-``ztrevc``).  ``pair_tails`` is the one map of the 1x1 and 2x2 diagonal
-blocks.
+``ztrevc``).  Reordering and eigenvectors both work in LAPACK's format of
+one entry per column of T.  ``pair_tails`` is the one map of the 1x1 and
+2x2 diagonal blocks.
 """
 
 import numpy as np
@@ -107,23 +108,28 @@ def move_blocks_front(form, selected):
     return int(moved) if info == 0 else 0
 
 
-def schur_eigenvectors(form):
-    """Eigenvalues and eigenvectors from a real Schur form.
+def schur_eigenvectors(t):
+    """Eigenvalues and unit eigenvectors of a quasi-triangular T, one per column.
 
-    Returns ``(values, Y)`` where column i of Y is a unit eigenvector of
-    Z T Z^T for values[i], one per diagonal block; a 2x2 block contributes
-    its eigenvalue with positive imaginary part (the conjugate vector is
-    the conjugate eigenvector).
+    Returns ``(values, Y)`` with T Y[:, i] = values[i] Y[:, i].  A 2x2
+    block's first column holds its eigenvalue with positive imaginary part,
+    and its second column the bitwise conjugate of value and vector, so a
+    real row b gives |b^T y| equal on both.
 
     The vectors come from LAPACK (``zgeev``, hence ``ztrevc``) on the
     complex triangular form, which keeps its diagonal order; each is scaled
-    so that its own component is 1 before it is mapped back by Z.  A
+    so that its own component is 1 before it is mapped back.  A
     near-singular pivot T_ii - T_jj (a repeated eigenvalue) is raised to
     max(eps |lambda_j|, smlnum), LAPACK's safeguard.
     """
-    tc, zc = scipy.linalg.rsf2csf(form.t, form.z, check_finite=False)
+    tc, zc = scipy.linalg.rsf2csf(t, np.eye(t.shape[0]), check_finite=False)
     lam, x = scipy.linalg.eig(tc, overwrite_a=True, check_finite=False)
-    cols = np.flatnonzero(~pair_tails(form.t))
+    tails = pair_tails(t)
+    cols = np.flatnonzero(~tails)
     cols[lam[cols].imag < 0] += 1
     y = zc @ (x[:, cols] / x[cols, cols])
-    return lam[cols], y / np.linalg.norm(y, axis=0)
+    block = np.cumsum(~tails) - 1  # each column's block
+    values, vecs = lam[cols][block], (y / np.linalg.norm(y, axis=0))[:, block]
+    values[tails] = values[tails].conj()
+    vecs[:, tails] = vecs[:, tails].conj()
+    return values, vecs

@@ -144,21 +144,11 @@ def test_gmres_backward_error_stride(tmp_path):
     assert err.value.code == 2
 
 
-def test_mm_run_subcommand(tmp_path):
-    code, text = run_csv(
-        tmp_path,
-        ["mm-run", "--mtx", data_path("good_square_asym.mtx"), "--steps", "3",
-         "--stride", "1", "--scheme", "cgs2", "--seed", "8"],
-    )
-    assert code == 0
-    rows = rows_of(text)
-    assert rows[0] == "scheme,step,loo,rre,loo_above_tol,rre_above_tol,status"
-    assert len(rows) >= 2
-
-
 def test_mm_run_rejects_bad_file(tmp_path):
+    # the Matrix Market run (once kls-bench mm-run) is arnoldi-stability --mtx
     with pytest.raises(SystemExit) as err:
-        main(["mm-run", "--mtx", data_path("bad_pattern.mtx"), "--out", str(tmp_path / "x.csv")])
+        main(["arnoldi-stability", "--mtx", data_path("bad_pattern.mtx"),
+              "--out", str(tmp_path / "x.csv")])
     assert err.value.code == 2
 
 
@@ -166,7 +156,7 @@ def test_mm_run_rejects_bad_file(tmp_path):
     ["arnoldi-stability", "--manteuffel-k", "4", "--stride", "0"],
     ["arnoldi-stability", "--manteuffel-k", "4", "--steps", "0"],
     ["arnoldi-stability", "--manteuffel-k", "0"],
-    ["mm-run", "--mtx", data_path("good_square_asym.mtx"), "--stride", "0"],
+    ["arnoldi-stability", "--mtx", data_path("good_square_asym.mtx"), "--stride", "0"],
     ["gmres", "--laplace-dims", "3,3,3", "--steps", "0"],
     ["gmres", "--laplace-dims", "3,3,3", "--restart", "-3"],
     ["gmres", "--laplace-dims", "3,3"],
@@ -182,11 +172,11 @@ def test_mm_run_rejects_bad_file(tmp_path):
     ["eig", "--manteuffel-k", "4", "--beta", "nan"],
     ["qr-stability", "--rows", "10", "--cols", "2", "--kappa-list", "nan"],
     ["arnoldi-stability", "--manteuffel-k", "4", "--beta", "nan"],
-    ["mm-run", "--mtx", data_path("good_square_asym.mtx"), "--tol", "nan"],
-    ["mm-run", "--mtx", data_path("good_square_asym.mtx"), "--tol", "-1"],
-    # an unreadable file
-    ["mm-run", "--mtx", data_path("no_such_file.mtx")],
+    # an unreadable, malformed or non-square file
+    ["arnoldi-stability", "--mtx", data_path("no_such_file.mtx")],
     ["gmres", "--mtx", data_path("no_such_file.mtx")],
+    ["gmres", "--mtx", data_path("bad_pattern.mtx")],
+    ["arnoldi-stability", "--mtx", data_path("good_general_rect.mtx")],
 ])
 def test_configuration_error_exits_2(tmp_path, capsys, args):
     # a configuration the library rejects: one error line, no CSV
@@ -215,7 +205,8 @@ def test_seed_defaults_to_1729(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["arnoldi-stability", "--manteuffel-k", "4"],
-    ["mm-run", "--mtx", data_path("good_square_asym.mtx")],
+    ["arnoldi-stability", "--mtx", data_path("good_square_asym.mtx")],
+    ["gmres", "--laplace-dims", "3,3,3"],
 ])
 def test_steps_below_one_names_the_flag(capsys, args):
     with pytest.raises(SystemExit) as err:
@@ -244,7 +235,7 @@ def test_gmres_breakdown_exit_code_4(tmp_path, monkeypatch):
     assert code == 4
 
 
-def test_mm_run_over_square_corpus(tmp_path):
+def test_arnoldi_stability_over_square_corpus(tmp_path):
     import glob
     import os
 
@@ -255,15 +246,15 @@ def test_mm_run_over_square_corpus(tmp_path):
         csr = parse_matrix_market(path)
         if csr.nrows != csr.ncols or csr.nrows < 2:
             continue
-        code = main(["mm-run", "--mtx", path, "--steps", "5", "--stride", "1",
+        code = main(["arnoldi-stability", "--mtx", path, "--steps", "5", "--stride", "1",
                      "--scheme", "cgs2", "--scheme", "dcgs2", "--seed", "3",
                      "--out", str(tmp_path / "m.csv")])
         assert code == 0
         text = (tmp_path / "m.csv").read_text()
-        assert "scheme,step,loo,rre" in text
+        assert "scheme,step,loo,rre,reductions,status" in text
 
 
-@pytest.mark.parametrize("command", ["arnoldi-stability", "mm-run"])
+@pytest.mark.parametrize("command", ["arnoldi-stability"])
 def test_breakdown_row_reports_its_step(tmp_path, monkeypatch, command):
     # a breakdown at step 7 with stride 5 is reported at step 7
     import kls.cli
@@ -309,7 +300,7 @@ def _nan_mtx(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["arnoldi-stability", "mm-run"])
+@pytest.mark.parametrize("command", ["arnoldi-stability"])
 def test_nonfinite_row_reports_its_step_and_exits_4(tmp_path, command):
     # the first operator image holds the NaN, so every scheme stops at step 1
     schemes = ["cgs2", "dcgs2", "householder"]
@@ -401,7 +392,6 @@ WALK_RUNS = {
     "eig": ["--manteuffel-k", "4", "--restart-list", "8", "--max-restarts", "3"],
     "gmres": ["--laplace-dims", "3,3,3", "--steps", "4"],
     "sync-count": ["--rows", "30", "--cols", "4"],
-    "mm-run": ["--mtx", data_path("good_square_asym.mtx"), "--steps", "3", "--stride", "1"],
 }
 
 #: for each option, a value that differs from the one in every run above
@@ -442,6 +432,8 @@ def test_every_option_changes_the_csv(tmp_path, command):
     ("qr-stability", "--kappa-list", "1e0,abc"),
     ("eig", "--restart-list", "8,x"),
     ("gmres", "--laplace-dims", "9,x,9"),
+    ("qr-stability", "--kappa-list", ""),
+    ("eig", "--restart-list", ","),
 ])
 def test_malformed_list_names_its_flag(capsys, command, flag, value):
     with pytest.raises(SystemExit) as err:

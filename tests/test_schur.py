@@ -167,7 +167,9 @@ def test_move_blocks_front(rng):
 def test_eigenvectors_residual(rng):
     h = random_hessenberg(35, rng)
     form = hessenberg_real_schur(h)
-    vals, vecs = schur_eigenvectors(form)
+    vals, vecs = schur_eigenvectors(form.t)
+    vecs = form.z @ vecs
+    assert len(vals) == 35
     for i in range(len(vals)):
         r = np.linalg.norm(h @ vecs[:, i] - vals[i] * vecs[:, i])
         assert r <= 1e-10 * max(1.0, abs(vals[i]))
@@ -198,15 +200,36 @@ def test_eigenvectors_keep_block_order(kind):
     # form, bit for bit and in block order: the block map relies on it
     form = _order_contract_form(kind)
     n = form.order
-    vals, vecs = schur_eigenvectors(form)
+    vals, vecs = schur_eigenvectors(form.t)
     tc = np.diag(scipy.linalg.rsf2csf(form.t, form.z)[0])
+    heads = [start for start, _ in form.blocks()]
     cols = [start if size == 1 or tc[start].imag > 0 else start + 1
             for start, size in form.blocks()]
     assert len(cols) < n or kind == "diagonal"
-    assert np.array_equal(vals, tc[cols])
+    assert np.array_equal(vals[heads], tc[cols])
     a = form.z @ form.t @ form.z.T
-    for lam, y in zip(vals, vecs.T):
+    for lam, y in zip(vals, (form.z @ vecs).T):
         assert np.linalg.norm(a @ y - lam * y) <= 10 * n * EPS * np.linalg.norm(form.t)
+
+
+@pytest.mark.parametrize("n", [2, 9, 30, 41])
+def test_eigenvectors_pair_columns_are_conjugate(n):
+    # a 2x2 block's second column holds the bitwise conjugate of its first,
+    # so a real row b has the same residual |b^T y| on both columns
+    gen = np.random.Generator(np.random.PCG64(n))
+    pairs = 0
+    for _ in range(10):
+        t = scipy.linalg.schur(gen.standard_normal((n, n)), output="real")[0]
+        tails = np.flatnonzero(np.diag(t, -1)) + 1
+        pairs += len(tails)
+        vals, vecs = schur_eigenvectors(t)
+        assert np.all(vals[tails - 1].imag > 0)
+        assert np.array_equal(vals[tails], vals[tails - 1].conj())
+        assert np.array_equal(vecs[:, tails], vecs[:, tails - 1].conj())
+        resid = np.abs(gen.standard_normal(n) @ vecs)
+        assert np.array_equal(resid[tails], resid[tails - 1])
+        assert np.linalg.norm(t @ vecs - vecs * vals) <= 10 * n * EPS * np.linalg.norm(t)
+    assert pairs > 0
 
 
 def test_hessenberg_reduce(rng):
@@ -316,10 +339,14 @@ def test_schur_layer_properties(h, data):
     check_form(h, form)
     spectrum = form.eigenvalues()
 
-    # eigenvectors of every block: backward-stable residuals
-    vals, vecs = schur_eigenvectors(form)
-    assert len(vals) == len(form.blocks()) and np.all(vals.imag >= 0.0)
-    for lam, y in zip(vals, vecs.T):
+    # eigenvectors of every column: backward-stable residuals, and a pair's
+    # second column the conjugate of its first
+    vals, vecs = schur_eigenvectors(form.t)
+    heads = np.array([start for start, _ in form.blocks()], dtype=int)
+    tails = np.setdiff1d(np.arange(n), heads)
+    assert len(vals) == n and np.all(vals[heads].imag >= 0.0)
+    assert np.array_equal(vals[tails], vals[tails - 1].conj())
+    for lam, y in zip(vals, (form.z @ vecs).T):
         assert np.linalg.norm(h @ y - lam * y) <= 10 * max(n, 1) * EPS * hnorm
 
     # stable reordering: the selected blocks lead in their old order, and

@@ -3,7 +3,7 @@
     python tools/bitcheck.py dump CHECKOUT OUT.pkl
     python tools/bitcheck.py compare A.pkl B.pkl
 
-``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 86
+``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 87
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 restarted from a Hessenberg and from a dense coupling row, for every scheme
@@ -11,11 +11,14 @@ restarted from a Hessenberg and from a dense coupling row, for every scheme
 GMRES(30) on Manteuffel k=20 and Krylov-Schur on Manteuffel k=10, against
 the exact spectrum and against it with every multiplicity cut to 1 (which
 raises the over-multiplicity flag), for cgs2, dcgs2, householder and
-icwy-mgs; cases that span several row blocks of a delayed push: QR of a
-30000x24 panel by icwy-mgs, dcgs2 and dcgs2-hrt, and dcgs2 GMRES(30) for 60
-iterations on Manteuffel k=100; GMRES(30) on Manteuffel k=20 with a
-backward error every 10 iterations (``be_stride``), which places stride
-values both mid-cycle and at cycle ends, for cgs2 and dcgs2; the
+icwy-mgs; Krylov-Schur on the complex spectrum of Manteuffel k=10 at
+beta=4 (basis 30, 40 restarts, seed 3, no exact table), whose locked
+values are complex pairs, for cgs2 and dcgs2; cases that span several row
+blocks of a delayed push: QR of a 30000x24 panel by icwy-mgs, dcgs2 and
+dcgs2-hrt, and dcgs2 GMRES(30) for 60 iterations on Manteuffel k=100;
+GMRES(30) on Manteuffel k=20 with a backward error every 10 iterations
+(``be_stride``), which places stride values both mid-cycle and at cycle
+ends, for cgs2 and dcgs2; the
 generators: the CSR arrays of Manteuffel k=10 and k=200, and 2000x50
 ``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12; the
 operators: ``to_dense()`` and ``frobenius_norm()`` (twice, the second from
@@ -53,7 +56,6 @@ CLI_RUNS = (
     ("eig", "--manteuffel-k", "4", "--restart-list", "8,12", "--max-restarts", "6", "--seed", "1"),
     ("gmres", "--laplace-dims", "6,6,6", "--steps", "12", "--restart", "5", "--seed", "3"),
     ("sync-count", "--rows", "400", "--cols", "16", "--seed", "2"),
-    ("mm-run", "--mtx", MTX, "--steps", "3", "--stride", "1", "--seed", "8"),
 )
 
 #: more runs, keyed by subcommand and tag so that the keys of CLI_RUNS stay as they were
@@ -162,6 +164,15 @@ def dump(checkout, path):
                     r.over_multiplicity, r.restarts, r.incomplete, op.napply)
         run(("krylov-schur", s), lambda led: ks(exact, 100, led))
         run(("krylov-schur", s, "short"), lambda led: ks(short, 40, led))
+    complex_spec = ManteuffelSpec(k=10, beta=4.0)
+    for s in ("cgs2", "dcgs2"):  # complex pairs, locked through the 2x2 blocks
+        def ks_complex(led):
+            op = CsrOperator(manteuffel_build(complex_spec))
+            cfg = KrylovSchurConfig(max_basis=30, scheme=s, max_restarts=40)
+            r = krylov_schur_run(op, cfg, seed=3, ledger=led)
+            return (r.values, r.vectors, r.residuals, r.invariant_dim, r.lock_history,
+                    r.restarts, r.incomplete, op.napply)
+        run(("krylov-schur", s, "complex"), ks_complex)
     tall = np.random.Generator(np.random.PCG64(12)).standard_normal((30000, 24))
     for s in ("icwy-mgs", "dcgs2", "dcgs2-hrt"):
         run(("qr", "tall", s, opt), lambda led: qr_factorize(tall, s, ledger=led))
@@ -183,7 +194,7 @@ def dump(checkout, path):
         return text.getvalue().encode(), code
 
     here = os.getcwd()
-    os.chdir(checkout)  # the mm-run path, and so its CSV header, is the same for every checkout
+    os.chdir(checkout)  # the --mtx path, and so its CSV header, is the same for every checkout
     try:
         for argv in CLI_RUNS:
             run(("cli", argv[0]), lambda led: cli(argv, led))
