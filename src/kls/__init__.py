@@ -49,6 +49,5 @@ from .problems import (
     manteuffel_eigenvalues,
     parse_matrix_market,
     synthetic_kappa,
-    write_matrix_market,
 )
 from .schur import SchurForm, hessenberg_real_schur, hessenberg_reduce

@@ -40,23 +40,21 @@ DEFAULT_SEED = 1729
 
 
 def _parse_list(text, cast=float):
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
+    return [cast(tok) for tok in text.split(",")]
 
 
 def _list_of(cast):
     """The argparse type of a comma-separated list of ``cast`` values: it
-    rejects a malformed or empty list under its flag's name and keeps the
-    text as typed, which the CSV header records."""
+    rejects a list with a malformed or blank value under its flag's name and
+    keeps the text as typed, which the CSV header records."""
 
     def check(text):
         try:
-            values = _parse_list(text, cast)
+            _parse_list(text, cast)
         except ValueError:
-            values = []
-        if not values:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {cast.__name__} values, got {text!r}"
-            )
+            ) from None
         return text
 
     return check

@@ -20,10 +20,9 @@ DENSE_MAX_ORDER = 3000
 class LinearOperator:
     """Square matrix action y = A x.
 
-    Subclasses implement ``_matvec``, ``_frobenius`` (the exact Frobenius
-    norm, which ``frobenius_norm`` computes once and caches) and, where the
-    columns-by-matvec default is not the cheapest, ``_dense``.
-    ``to_dense`` refuses every order above DENSE_MAX_ORDER.
+    Subclasses implement ``_matvec``, ``_dense`` and ``_frobenius`` (the
+    exact Frobenius norm, which ``frobenius_norm`` computes once and
+    caches).  ``to_dense`` refuses every order above DENSE_MAX_ORDER.
 
     ``napply`` counts applications (one per matvec), which the Arnoldi
     instrumentation asserts against.
@@ -62,13 +61,7 @@ class LinearOperator:
         return self._dense()
 
     def _dense(self):
-        out = np.empty((self.n, self.n), order="F")
-        e = np.zeros(self.n)
-        for j in range(self.n):
-            e[j] = 1.0
-            out[:, j] = self._matvec(e)
-            e[j] = 0.0
-        return out
+        raise NotImplementedError
 
 
 class DenseOperator(LinearOperator):
@@ -112,23 +105,12 @@ class CsrMatrix:
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, vals):
         """Build from triplets; duplicate entries are summed."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
-            keep = np.concatenate(
-                ([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))
-            )
-            group = np.cumsum(keep) - 1
-            summed = np.zeros(int(group[-1]) + 1)
-            np.add.at(summed, group, vals)
-            rows, cols, vals = rows[keep], cols[keep], summed
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(nrows, ncols, indptr, cols, vals)
+        coo = scipy.sparse.coo_array(
+            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(nrows, ncols)
+        )
+        coo.sum_duplicates()
+        a = coo.tocsr()
+        return cls(nrows, ncols, a.indptr.astype(np.int64), a.indices.astype(np.int64), a.data)
 
     @property
     def nnz(self):
@@ -209,8 +191,8 @@ def manteuffel_build(spec):
     r = blk*k + i holds r-k, r-1, r, r+1, r+k (distinct and ascending for
     k >= 2) where they lie on the grid.
 
-    Each entry is what ``CsrMatrix.from_coo`` gives when it sums into 0.0
-    the M entry, then the N entry, bit for bit.
+    Each entry is what ``CsrMatrix.from_coo`` gives when it sums the M
+    entry and the N entry, bit for bit.
     """
     k, m, conv = spec.k, spec.m, spec.beta / 2.0
     r = np.arange(m, dtype=np.int64)
@@ -259,60 +241,16 @@ def manteuffel_eigenvalues(spec):
     )
 
 
-class StencilLaplace3D(LinearOperator):
-    """Matrix-free 7-point Laplacian on an nx-by-ny-by-nz Dirichlet grid."""
-
-    def __init__(self, nx, ny, nz):
-        if min(nx, ny, nz) < 1:
-            raise ValueError("dimensions >= 1 required")
-        super().__init__(nx * ny * nz)
-        self.dims = (nx, ny, nz)
-
-    def _matvec(self, x):
-        g = x.reshape(self.dims)
-        y = 6.0 * g
-        y[1:, :, :] -= g[:-1, :, :]
-        y[:-1, :, :] -= g[1:, :, :]
-        y[:, 1:, :] -= g[:, :-1, :]
-        y[:, :-1, :] -= g[:, 1:, :]
-        y[:, :, 1:] -= g[:, :, :-1]
-        y[:, :, :-1] -= g[:, :, 1:]
-        return y.reshape(-1)
-
-    def to_csr(self):
-        nx, ny, nz = self.dims
-        idx = np.arange(self.n).reshape(self.dims)
-        rows, cols, vals = [np.arange(self.n)], [np.arange(self.n)], [
-            np.full(self.n, 6.0)
-        ]
-
-        def couple(a, b):
-            rows.append(a.ravel())
-            cols.append(b.ravel())
-            vals.append(np.full(a.size, -1.0))
-            rows.append(b.ravel())
-            cols.append(a.ravel())
-            vals.append(np.full(a.size, -1.0))
-
-        couple(idx[:-1, :, :], idx[1:, :, :])
-        couple(idx[:, :-1, :], idx[:, 1:, :])
-        couple(idx[:, :, :-1], idx[:, :, 1:])
-        return CsrMatrix.from_coo(
-            self.n,
-            self.n,
-            np.concatenate(rows),
-            np.concatenate(cols),
-            np.concatenate(vals),
-        )
-
-    def _frobenius(self):
-        nx, ny, nz = self.dims
-        edges = (nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1)
-        return float(np.sqrt(36.0 * self.n + 2.0 * edges))
-
-
 def laplace3d(nx, ny, nz):
-    return StencilLaplace3D(nx, ny, nz)
+    """The 7-point Laplacian on an nx-by-ny-by-nz Dirichlet grid, as the
+    CSR Kronecker sum of three 1-D second differences, z fastest."""
+    if min(nx, ny, nz) < 1:
+        raise ValueError("dimensions >= 1 required")
+    a = None
+    for n in (nz, ny, nx):
+        t = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(n, n))
+        a = t if a is None else scipy.sparse.kronsum(a, t, format="coo")
+    return CsrOperator(CsrMatrix.from_coo(*a.shape, *a.coords, a.data))
 
 
 def synthetic_kappa(m, n, kappa, seed):
@@ -336,20 +274,17 @@ def synthetic_kappa(m, n, kappa, seed):
 # Matrix Market coordinate format
 
 
-def parse_matrix_market(source):
+def parse_matrix_market(path):
     """Parse a real coordinate Matrix Market file into CSR.
 
     Supports general, symmetric, and skew-symmetric real (or integer)
     matrices; the symmetric half is expanded.  Pattern and complex fields
-    are rejected.  ``source`` is a path or a file-like object.  Malformed
-    input raises ``MatrixMarketError`` with the offending line number.
+    are rejected.  Malformed input raises ``MatrixMarketError`` with the
+    offending line number; the entries are read in one pass, so a declared
+    count is checked against the lines that are there.
     """
-    close = not hasattr(source, "read")
-    f = open(source, "r", encoding="ascii") if close else source
-    try:
-        header = f.readline()
-        lineno = 1
-        parts = header.strip().split()
+    with open(path, "r", encoding="ascii") as f:
+        parts = f.readline().strip().split()
         if len(parts) != 5 or parts[0] != "%%MatrixMarket":
             raise MatrixMarketError("missing %%MatrixMarket header", line=1)
         _, obj, fmt, field, symmetry = (p.lower() for p in parts)
@@ -362,38 +297,24 @@ def parse_matrix_market(source):
         if symmetry not in ("general", "symmetric", "skew-symmetric"):
             raise MatrixMarketError(f"unsupported symmetry {symmetry!r}", line=1)
 
-        size = None
-        for raw in f:
-            lineno += 1
-            line = raw.strip()
-            if not line or line.startswith("%"):
+        size, lineno = None, 1
+        rows, cols, vals = [], [], []
+        for lineno, raw in enumerate(f, start=2):
+            toks = raw.split()
+            if not toks or toks[0].startswith("%"):
                 continue
-            toks = line.split()
-            if len(toks) != 3:
-                raise MatrixMarketError("size line needs 'rows cols nnz'", line=lineno)
-            try:
-                size = tuple(int(t) for t in toks)
-            except ValueError:
-                raise MatrixMarketError("non-integer size entry", line=lineno) from None
-            break
-        if size is None:
-            raise MatrixMarketError("missing size line", line=lineno)
-        nrows, ncols, nnz = size
-        if nrows < 0 or ncols < 0 or nnz < 0:
-            raise MatrixMarketError("negative size entry", line=lineno)
-
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        seen = 0
-        for raw in f:
-            lineno += 1
-            line = raw.strip()
-            if not line or line.startswith("%"):
+            if size is None:
+                if len(toks) != 3:
+                    raise MatrixMarketError("size line needs 'rows cols nnz'", line=lineno)
+                try:
+                    size = nrows, ncols, nnz = tuple(int(t) for t in toks)
+                except ValueError:
+                    raise MatrixMarketError("non-integer size entry", line=lineno) from None
+                if nrows < 0 or ncols < 0 or nnz < 0:
+                    raise MatrixMarketError("negative size entry", line=lineno)
                 continue
-            if seen >= nnz:
+            if len(vals) >= nnz:
                 raise MatrixMarketError("more entries than declared", line=lineno)
-            toks = line.split()
             if len(toks) != 3:
                 raise MatrixMarketError(
                     "entry line needs 'row col value'", line=lineno
@@ -411,16 +332,19 @@ def parse_matrix_market(source):
                 raise MatrixMarketError(
                     "nonzero diagonal in skew-symmetric matrix", line=lineno
                 )
-            rows[seen], cols[seen], vals[seen] = i - 1, j - 1, v
-            seen += 1
-        if seen != nnz:
-            raise MatrixMarketError(
-                f"declared {nnz} entries, found {seen}", line=lineno
-            )
-    finally:
-        if close:
-            f.close()
+            rows.append(i - 1)
+            cols.append(j - 1)
+            vals.append(v)
+    if size is None:
+        raise MatrixMarketError("missing size line", line=lineno)
+    if len(vals) != nnz:
+        raise MatrixMarketError(
+            f"declared {nnz} entries, found {len(vals)}", line=lineno
+        )
 
+    rows = np.array(rows, dtype=np.int64)
+    cols = np.array(cols, dtype=np.int64)
+    vals = np.array(vals, dtype=np.float64)
     if symmetry != "general":
         off = rows != cols
         sign = -1.0 if symmetry == "skew-symmetric" else 1.0
@@ -430,18 +354,3 @@ def parse_matrix_market(source):
             np.concatenate([vals, sign * vals[off]]),
         )
     return CsrMatrix.from_coo(nrows, ncols, rows, cols, vals)
-
-
-def write_matrix_market(csr, target):
-    """Write CSR in coordinate real general format (stored entries as-is)."""
-    f = target if hasattr(target, "write") else open(target, "w", encoding="ascii")
-    close = f is not target
-    try:
-        f.write("%%MatrixMarket matrix coordinate real general\n")
-        f.write(f"{csr.nrows} {csr.ncols} {csr.nnz}\n")
-        rows = np.repeat(np.arange(csr.nrows), np.diff(csr.indptr))
-        for i, j, v in zip(rows, csr.indices, csr.data):
-            f.write(f"{i + 1} {j + 1} {float(v)!r}\n")
-    finally:
-        if close:
-            f.close()

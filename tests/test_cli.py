@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import data_path
+from conftest import data_path, write_mtx
 from kls.cli import build_parser, main
 from kls.problems import synthetic_kappa
 
@@ -177,6 +177,8 @@ def test_mm_run_rejects_bad_file(tmp_path):
     ["gmres", "--mtx", data_path("no_such_file.mtx")],
     ["gmres", "--mtx", data_path("bad_pattern.mtx")],
     ["arnoldi-stability", "--mtx", data_path("good_general_rect.mtx")],
+    # a declared count far beyond the entries present
+    ["gmres", "--mtx", data_path("bad_huge_count.mtx")],
 ])
 def test_configuration_error_exits_2(tmp_path, capsys, args):
     # a configuration the library rejects: one error line, no CSV
@@ -259,7 +261,7 @@ def test_breakdown_row_reports_its_step(tmp_path, monkeypatch, command):
     # a breakdown at step 7 with stride 5 is reported at step 7
     import kls.cli
     from kls.errors import BreakdownError
-    from kls.problems import ManteuffelSpec, manteuffel_build, write_matrix_market
+    from kls.problems import ManteuffelSpec, manteuffel_build
 
     expand = kls.cli.arnoldi
 
@@ -278,7 +280,7 @@ def test_breakdown_row_reports_its_step(tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(kls.cli, "arnoldi", breaks_at_step_7)
     mtx = tmp_path / "m.mtx"
-    write_matrix_market(manteuffel_build(ManteuffelSpec(k=6)), str(mtx))
+    write_mtx(str(mtx), manteuffel_build(ManteuffelSpec(k=6)))
     code, text = run_csv(
         tmp_path,
         [command, "--mtx", str(mtx), "--steps", "12", "--stride", "5",
@@ -291,12 +293,12 @@ def test_breakdown_row_reports_its_step(tmp_path, monkeypatch, command):
 
 def _nan_mtx(tmp_path):
     """A Manteuffel k=3 matrix with one NaN entry, as a Matrix Market file."""
-    from kls.problems import ManteuffelSpec, manteuffel_build, write_matrix_market
+    from kls.problems import ManteuffelSpec, manteuffel_build
 
     csr = manteuffel_build(ManteuffelSpec(k=3))
     csr.data[4] = np.nan
     path = tmp_path / "nan.mtx"
-    write_matrix_market(csr, str(path))
+    write_mtx(str(path), csr)
     return str(path)
 
 
@@ -434,6 +436,8 @@ def test_every_option_changes_the_csv(tmp_path, command):
     ("gmres", "--laplace-dims", "9,x,9"),
     ("qr-stability", "--kappa-list", ""),
     ("eig", "--restart-list", ","),
+    ("eig", "--restart-list", "8,,12"),
+    ("qr-stability", "--kappa-list", "1e0,"),
 ])
 def test_malformed_list_names_its_flag(capsys, command, flag, value):
     with pytest.raises(SystemExit) as err:

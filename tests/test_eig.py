@@ -331,7 +331,7 @@ def test_diagnostics_manteuffel_small_consistency():
 
 
 def test_diagnostics_memory_guard():
-    # above DENSE_MAX_ORDER every operator refuses, a matrix-free one and a
+    # above DENSE_MAX_ORDER every operator refuses, a sparse one and a
     # dense one (a zero-stride view, so nothing of order 3001 is allocated)
     op = laplace3d(15, 15, 15)
     assert op.n > DENSE_MAX_ORDER

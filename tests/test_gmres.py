@@ -61,7 +61,7 @@ def test_givens_least_squares_zero_column_solves_leading_part():
 
 def test_laplace_slab_matches_direct_solve():
     op = laplace3d(32, 32, 1)  # 32x32 grid slab
-    a = op.to_csr().to_dense()
+    a = op.to_dense()
     b = np.ones(op.n)
     x_direct = np.linalg.solve(a, b)
     res = gmres_solve(op, b, GmresConfig(max_iters=100, scheme="cgs2"))
@@ -113,7 +113,7 @@ def test_reduction_history_cumulative():
 def test_restarted_gmres_converges():
     op = laplace3d(10, 10, 1)
     b = np.ones(op.n)
-    a = op.to_csr().to_dense()
+    a = op.to_dense()
     res = gmres_solve(op, b, GmresConfig(max_iters=200, restart=25, rtol=1e-10))
     assert np.linalg.norm(b - a @ res.x) / np.linalg.norm(b) <= 1e-9
     assert res.converged

@@ -1,11 +1,10 @@
 import glob
-import io
 import os
 
 import numpy as np
 import pytest
 
-from conftest import DATA, data_path
+from conftest import DATA, data_path, write_mtx
 from kls.errors import DimensionError, MatrixMarketError
 from kls.problems import (
     CsrMatrix,
@@ -17,7 +16,6 @@ from kls.problems import (
     manteuffel_eigenvalues,
     parse_matrix_market,
     synthetic_kappa,
-    write_matrix_market,
 )
 
 
@@ -178,13 +176,27 @@ def test_laplace_single_node():
     assert op.apply(np.array([1.0]))[0] == pytest.approx(6.0)
 
 
+def _stencil(x, dims):
+    """The 7-point stencil by NumPy slices: 6 x minus each grid neighbour."""
+    g = x.reshape(dims)
+    y = 6.0 * g
+    y[1:, :, :] -= g[:-1, :, :]
+    y[:-1, :, :] -= g[1:, :, :]
+    y[:, 1:, :] -= g[:, :-1, :]
+    y[:, :-1, :] -= g[:, 1:, :]
+    y[:, :, 1:] -= g[:, :, :-1]
+    y[:, :, :-1] -= g[:, :, 1:]
+    return y.reshape(-1)
+
+
 def test_laplace_matches_assembled(rng):
-    op = laplace3d(4, 4, 4)
-    a = op.to_csr()
-    x = np.ones(op.n)
-    assert np.allclose(op.apply(x), a.matvec(x), atol=1e-14)
-    y = rng.standard_normal(op.n)
-    assert np.allclose(op.apply(y), a.matvec(y), atol=1e-13)
+    # a cube and two grids whose axes all differ in length, so z runs fastest
+    for dims in ((4, 4, 4), (3, 1, 5), (2, 6, 4)):
+        op = laplace3d(*dims)
+        x = np.ones(op.n)
+        assert np.allclose(op.apply(x), _stencil(x, dims), atol=1e-14)
+        y = rng.standard_normal(op.n)
+        assert np.allclose(op.apply(y), _stencil(y, dims), atol=1e-13)
 
 
 def test_laplace_symmetry(rng):
@@ -198,10 +210,11 @@ def test_laplace_symmetry(rng):
 
 
 def test_laplace_frobenius_exact():
-    op = laplace3d(5, 4, 3)
-    assert op.frobenius_norm() == pytest.approx(
-        np.linalg.norm(op.to_csr().to_dense()), rel=1e-14
-    )
+    # 6 on the diagonal and -1 twice per grid edge
+    nx, ny, nz = 5, 4, 3
+    op = laplace3d(nx, ny, nz)
+    edges = (nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1)
+    assert op.frobenius_norm() == np.sqrt(36.0 * op.n + 2.0 * edges)
 
 
 def test_operator_apply_counts():
@@ -285,24 +298,24 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 4
 
 
-def test_roundtrip_random_csr(rng):
+def test_roundtrip_random_csr(rng, tmp_path):
     n = 12
     rows = rng.integers(0, n, 40)
     cols = rng.integers(0, n, 40)
     vals = rng.standard_normal(40)
     csr = CsrMatrix.from_coo(n, n, rows, cols, vals)
-    buf = io.StringIO()
-    write_matrix_market(csr, buf)
-    back = parse_matrix_market(io.StringIO(buf.getvalue()))
+    path = str(tmp_path / "r.mtx")
+    write_mtx(path, csr)
+    back = parse_matrix_market(path)
     assert np.array_equal(back.indptr, csr.indptr)
     assert np.array_equal(back.indices, csr.indices)
     assert np.array_equal(back.data, csr.data)
 
 
-def test_parse_from_string():
-    csr = parse_matrix_market(
-        io.StringIO("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 -3.5\n")
-    )
+def test_parse_from_string(tmp_path):
+    path = tmp_path / "s.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 -3.5\n")
+    csr = parse_matrix_market(str(path))
     assert csr.to_dense()[0, 0] == -3.5
 
 

@@ -3,7 +3,7 @@
     python tools/bitcheck.py dump CHECKOUT OUT.pkl
     python tools/bitcheck.py compare A.pkl B.pkl
 
-``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 87
+``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 95
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 restarted from a Hessenberg and from a dense coupling row, for every scheme
@@ -22,8 +22,11 @@ ends, for cgs2 and dcgs2; the
 generators: the CSR arrays of Manteuffel k=10 and k=200, and 2000x50
 ``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12; the
 operators: ``to_dense()`` and ``frobenius_norm()`` (twice, the second from
-its cache) of a ``DenseOperator``, a ``CsrOperator`` and a
-``StencilLaplace3D``, and ``eig_diagnostics`` on Manteuffel k=6; and
+its cache) of a ``DenseOperator``, a ``CsrOperator`` and ``laplace3d(4, 3,
+5)`` (keyed ``stencil``, as when it was matrix-free), and ``eig_diagnostics``
+on Manteuffel k=6; the CSR arrays ``parse_matrix_market`` reads from each of
+the 8 ``tests/data/good_*.mtx`` files next to this script (so that both
+checkouts parse the same files); and
 one small run of each ``kls-bench`` subcommand, its stdout bytes and exit
 code, plus ``gmres`` and ``arnoldi-stability`` on a Matrix Market file and
 ``qr-stability`` and ``sync-count`` with ``--jobs 2`` (the file runs read
@@ -42,12 +45,17 @@ Load only dumps this script wrote: unpickling runs code.
 """
 
 import contextlib
+import glob
 import io
 import os
 import pickle
 import sys
 
 MTX = "tests/data/good_square_asym.mtx"
+
+#: the Matrix Market corpus whose parses are dumped
+CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                                       "tests", "data", "good_*.mtx")))
 
 #: small runs of each subcommand, with the working directory at the checkout
 CLI_RUNS = (
@@ -74,7 +82,7 @@ def dump(checkout, path):
     from kls import (CsrOperator, DenseOperator, EigenvalueTable, GmresConfig, KrylovSchurConfig,
                      ManteuffelSpec, SyncLedger, arnoldi, arnoldi_expand, eig_diagnostics, gmres_solve,
                      krylov_schur_run, laplace3d, manteuffel_build, manteuffel_eigenvalues,
-                     qr_factorize, synthetic_kappa)
+                     parse_matrix_market, qr_factorize, synthetic_kappa)
     out = {}
     schemes = ("cgs", "cgs2", "cgs2-lagged", "mgs", "icwy-mgs", "dcgs2", "dcgs2-hrt",
                "householder")
@@ -85,12 +93,15 @@ def dump(checkout, path):
         res = fn(led)
         out[key] = (res, led.reductions, led.flops, dict(led.kernel_counts))
 
-    def csr(k):  # the arrays and their dtypes
-        c = manteuffel_build(ManteuffelSpec(k=k))
+    def arrays(c):  # the CSR arrays and their dtypes
         return c.shape, [(a, a.dtype.str) for a in (c.indptr, c.indices, c.data)]
 
     for k in (10, 200):
-        run(("problems", "manteuffel", k), lambda led: csr(k))
+        run(("problems", "manteuffel", k),
+            lambda led: arrays(manteuffel_build(ManteuffelSpec(k=k))))
+    for mtx in CORPUS:
+        run(("problems", "mtx", os.path.basename(mtx)),
+            lambda led: arrays(parse_matrix_market(mtx)))
     for kappa in (1e0, 1e4, 1e8, 1e12):
         run(("problems", "kappa", kappa), lambda led: synthetic_kappa(2000, 50, kappa, 13))
     a30 = np.random.Generator(np.random.PCG64(10)).standard_normal((30, 30))
