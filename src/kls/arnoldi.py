@@ -28,9 +28,7 @@ Hessenberg correction K = T - H c / alpha (``ortho._DelayedState``).
 import numpy as np
 
 from .errors import BreakdownError, DimensionError
-from .ortho import SCHEME_IDS, check_finite, make_state
-
-ARNOLDI_SCHEMES = SCHEME_IDS
+from .ortho import check_finite, make_state
 
 
 class _BaseArnoldi:

@@ -97,7 +97,7 @@ def _sweep(args, header_pairs, columns, points, worker):
     lines += [",".join(_fmt(field) for field in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="ascii") as f:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
     else:
         sys.stdout.write(text)

@@ -31,7 +31,6 @@ from .schur import (
     hessenberg_real_schur,
     hessenberg_reduce,
     move_blocks_front,
-    pair_tails,
     schur_eigenvectors,
 )
 
@@ -195,8 +194,7 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
                 unconv_budget = max(min(cfg.max_basis // 2, k - 1 - nlock - conv_cols), 0)
             sel = conv.copy()
             kept_unconv = 0
-            starts = np.flatnonzero(~pair_tails(subform.t))
-            sizes = np.diff(np.append(starts, na))
+            starts, sizes = np.array(subform.blocks()).T
             for b in np.lexsort((resid[starts], conv[starts])):  # unconverged first
                 start, size = starts[b], sizes[b]
                 if conv[start]:
@@ -221,8 +219,7 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
             b_act = b_row[nlock:] @ subform.z
             b_act[:conv_cols] = 0.0
             mm[nlock:, nlock:] = subform.t
-            if nlock:
-                mm[:nlock, nlock:] = mm[:nlock, nlock:] @ subform.z
+            mm[:nlock, nlock:] = mm[:nlock, nlock:] @ subform.z
             p = nlock + p_active
             V[:, nlock:p] = (V[:, nlock:k] @ subform.z)[:, :p_active]
             b_keep = np.concatenate([np.zeros(nlock), b_act])[:p]
@@ -268,8 +265,8 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
 def eig_diagnostics(a, full=True):
     """Dense operator diagnostics: norms, conditioning, nonnormality.
 
-    ``a`` is anything ``problems.as_operator`` takes, whose ``to_dense``
-    refuses orders above DENSE_MAX_ORDER.  With ``full`` the eigenvalues,
+    ``a`` is an operator or an array; its operator's ``to_dense`` refuses
+    orders above DENSE_MAX_ORDER.  With ``full`` the eigenvalues,
     the right eigenvector basis's condition number and the largest
     eigenvalue condition number are included (cubic-cost dense eig).
     """

@@ -63,7 +63,7 @@ class GmresResult:
 def backward_error(op, x, b, residual=None):
     """Normwise backward error ||b - A x|| / (||A||_F ||x|| + ||b||).
 
-    ``op`` is anything ``problems.as_operator`` takes.  ``residual``, when
+    ``op`` is an operator or an array.  ``residual``, when
     given, is b - A x already formed; it saves the apply.
     """
     op = as_operator(op)
@@ -215,8 +215,6 @@ def gmres_solve(op, b, cfg, ledger=None):
         be_iters.append(iters)
         if not np.any(r) or (cfg.rtol > 0 and rel_hist and rel_hist[-1] <= cfg.rtol):
             converged = True
-        if cfg.restart == 0:
-            break
 
     return GmresResult(
         x=x,

@@ -30,8 +30,8 @@ def representation_error_arnoldi(op, Q, H):
     """Relative expansion residual ||A Q_k - Q_{k+1} H||_F / ||A||_F.
 
     Q holds k+1 basis columns and H is the (k+1)-by-k extended Hessenberg
-    block.  ``op`` is anything ``problems.as_operator`` takes; ||A||_F is
-    its exact Frobenius norm.
+    block.  ``op`` is an operator or an array; ||A||_F is its exact
+    Frobenius norm.
     """
     Q = np.asarray(Q, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)

@@ -129,9 +129,6 @@ class CsrMatrix:
     def to_dense(self):
         return self._sparse.toarray()
 
-    def frobenius_norm(self):
-        return float(np.linalg.norm(self.data))
-
 
 class CsrOperator(LinearOperator):
     def __init__(self, csr):
@@ -147,16 +144,14 @@ class CsrOperator(LinearOperator):
         return self.csr.to_dense()
 
     def _frobenius(self):
-        return self.csr.frobenius_norm()
+        return float(np.linalg.norm(self.csr.data))
 
 
 def as_operator(a):
-    """The LinearOperator of ``a``: an operator as given, a CsrMatrix as a
-    CsrOperator, and anything else as the DenseOperator of an array."""
+    """The LinearOperator of ``a``: an operator as given, and anything else
+    as the DenseOperator of an array."""
     if isinstance(a, LinearOperator):
         return a
-    if isinstance(a, CsrMatrix):
-        return CsrOperator(a)
     return DenseOperator(a)
 
 
@@ -263,10 +258,7 @@ def synthetic_kappa(m, n, kappa, seed):
         raise ValueError(f"finite kappa >= 1 required, got {kappa}")
     u = random_orthogonal(m, n, seed)
     v = random_orthogonal(n, n, seed + 1)
-    if kappa == 1.0:
-        sigma = np.ones(n)
-    else:
-        sigma = np.logspace(0.0, -np.log10(kappa), n)
+    sigma = np.logspace(0.0, -np.log10(kappa), n)
     return (u * sigma) @ v.T
 
 
@@ -281,9 +273,10 @@ def parse_matrix_market(path):
     matrices; the symmetric half is expanded.  Pattern and complex fields
     are rejected.  Malformed input raises ``MatrixMarketError`` with the
     offending line number; the entries are read in one pass, so a declared
-    count is checked against the lines that are there.
+    count is checked against the lines that are there.  A byte outside
+    ASCII passes in a comment and makes any other line malformed.
     """
-    with open(path, "r", encoding="ascii") as f:
+    with open(path, "r", encoding="ascii", errors="replace") as f:
         parts = f.readline().strip().split()
         if len(parts) != 5 or parts[0] != "%%MatrixMarket":
             raise MatrixMarketError("missing %%MatrixMarket header", line=1)

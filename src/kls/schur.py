@@ -4,9 +4,10 @@ The services Krylov-Schur needs: Hessenberg reduction (``dgehrd``), the
 real Schur form of a Hessenberg matrix (``dgees``), stable reordering of
 diagonal blocks (``dtrsen``, the Bai-Demmel block swaps) and eigenvectors
 from the complex triangular form (``zgeev``, whose back-substitution is
-``ztrevc``).  Reordering and eigenvectors both work in LAPACK's format of
-one entry per column of T.  ``pair_tails`` is the one map of the 1x1 and
-2x2 diagonal blocks.
+``ztrevc``).  Reordering, eigenvalues and eigenvectors all work in
+LAPACK's format of one entry per column of T: ``SchurForm.eigenvalues``
+returns ``schur_eigenvectors``'s values.  ``pair_tails`` is the one map of
+the 1x1 and 2x2 diagonal blocks, and ``SchurForm.blocks`` lists them from it.
 """
 
 import numpy as np
@@ -37,15 +38,8 @@ class SchurForm:
         return [(s, e - s) for s, e in zip(starts, starts[1:] + [self.order])]
 
     def eigenvalues(self):
-        """Complex eigenvalues in diagonal-block order."""
-        vals = []
-        t = self.t
-        for start, size in self.blocks():
-            if size == 1:
-                vals.append(complex(t[start, start]))
-            else:
-                vals.extend(_eig_2x2(t[start : start + 2, start : start + 2]))
-        return np.array(vals, dtype=complex)
+        """Complex eigenvalues, one per column: ``schur_eigenvectors``'s."""
+        return schur_eigenvectors(self.t)[0]
 
 
 def pair_tails(t):
@@ -53,16 +47,6 @@ def pair_tails(t):
     tails = np.zeros(t.shape[0], dtype=bool)
     tails[1:] = np.diag(t, -1) != 0.0
     return tails
-
-
-def _eig_2x2(blk):
-    """Eigenvalues of a 2x2 block as a complex pair or two reals."""
-    (a, b), (c, d) = blk
-    p = 0.5 * (a - d)
-    disc = p * p + b * c
-    mean = 0.5 * (a + d)
-    sq = np.sqrt(complex(disc))
-    return [mean + sq, mean - sq]
 
 
 def _square(a):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kls.arnoldi import ARNOLDI_SCHEMES, arnoldi, arnoldi_expand
+from kls.arnoldi import arnoldi, arnoldi_expand
 from kls.errors import DimensionError, NonFiniteError
 from kls.gmres import GmresConfig, gmres_solve
 from kls.ledger import SyncLedger
 from kls.metrics import loss_of_orthogonality, representation_error_arnoldi
-from kls.ortho import qr_factorize
+from kls.ortho import SCHEME_IDS, qr_factorize
 from kls.problems import (
     CsrOperator,
     DenseOperator,
@@ -103,7 +103,7 @@ def test_householder_totals_walker(manteuffel10, start100):
 
 def test_identity_operator_happy_breakdown():
     op = DenseOperator(np.eye(7))
-    for scheme in ARNOLDI_SCHEMES:
+    for scheme in SCHEME_IDS:
         exp = arnoldi(op, np.ones(7), scheme, capacity=8)
         while exp.step():
             pass
@@ -141,7 +141,7 @@ def test_invariant_subspace_stops_at_its_dimension(scheme, d):
         assert exp.happy and exp.order == d and h.shape == (d, d), (seed, exp.order)
 
 
-@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_hbar_is_a_view_of_the_push_state_r(scheme, manteuffel10, start100):
     exp = arnoldi(manteuffel10, start100, scheme, capacity=12)
     for _ in range(8):
@@ -167,7 +167,7 @@ class _NanAt(DenseOperator):
         return y
 
 
-@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_non_finite_image_raises_typed_error(scheme, rng):
     # the delayed schemes consume the image of apply 4 at step 4, as the
     # immediate ones do, so every scheme names the same step
@@ -178,7 +178,7 @@ def test_non_finite_image_raises_typed_error(scheme, rng):
     assert err.value.step == 4
 
 
-@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 def test_infinite_image_raises_typed_error(scheme, bad, rng):
     op = _NanAt(rng.standard_normal((30, 30)), at=4, value=bad)
@@ -188,7 +188,7 @@ def test_infinite_image_raises_typed_error(scheme, bad, rng):
     assert err.value.step == 4
 
 
-@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_start_raises_typed_error(scheme, bad):
     start = np.ones(5)
@@ -210,7 +210,7 @@ def test_capacity_checked_before_the_storage(capacity, manteuffel10):
         arnoldi(manteuffel10, None, "dcgs2", capacity=capacity)
 
 
-@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_step_before_restart_raises(scheme, manteuffel10):
     # an empty expansion has no column to apply the operator to
     exp = arnoldi(manteuffel10, None, scheme, capacity=5)
@@ -220,7 +220,7 @@ def test_step_before_restart_raises(scheme, manteuffel10):
     assert manteuffel10.napply == napply and exp.size == 0
 
 
-@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_one_apply_per_hessenberg_column(scheme, manteuffel10, start100):
     # an n-step expansion makes n applies and finalize none; so does each
     # step after a restart from Hbar; GMRES(30) over 300 iterations adds one
@@ -297,7 +297,7 @@ def test_resume_orthogonality_icwy_gram_seed(manteuffel10, start100):
     assert loss_of_orthogonality(v) <= 1e-11
 
 
-@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_start_of_wrong_length_rejected(manteuffel10, start100, scheme):
     # a short start must not broadcast into the basis, for a vector or a block
     with pytest.raises(DimensionError, match="100 rows"):
@@ -317,7 +317,7 @@ def test_restart_rejects_mismatched_hbar(manteuffel10, start100):
         exp.restart(v0, h0[:-1])
 
 
-@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_restart_after_happy_breakdown_matches_fresh_expansion(scheme):
     # a restart must leave nothing of the last cycle: one expansion run to
     # its happy breakdown, restarted from a decomposition with a dense
@@ -399,7 +399,7 @@ def test_finalize_without_steps_single_column(manteuffel10, start100):
         assert np.linalg.norm(v[:, 0]) == pytest.approx(1.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("scheme", ARNOLDI_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_finalize_returns_append_only_views(scheme, manteuffel10, start100):
     exp = arnoldi(manteuffel10, start100, scheme, capacity=12)
     for _ in range(5):

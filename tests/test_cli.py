@@ -1,5 +1,6 @@
 import argparse
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -150,6 +151,37 @@ def test_mm_run_rejects_bad_file(tmp_path):
         main(["arnoldi-stability", "--mtx", data_path("bad_pattern.mtx"),
               "--out", str(tmp_path / "x.csv")])
     assert err.value.code == 2
+
+
+MTX_TEXT = "%%MatrixMarket matrix coordinate real general\n% caf\u00e9\n2 2 2\n1 1 1.0\n2 2 {}\n"
+
+
+def test_non_ascii_comment_runs(tmp_path):
+    mtx = tmp_path / "c.mtx"
+    mtx.write_text(MTX_TEXT.format("2.0"), encoding="utf-8")
+    code, text = run_csv(tmp_path, ["gmres", "--mtx", str(mtx), "--steps", "2"])
+    assert code == 0 and len(rows_of(text)) > 1
+
+
+def test_non_ascii_entry_exits_2_naming_its_line(tmp_path, capsys):
+    mtx = tmp_path / "e.mtx"
+    mtx.write_text(MTX_TEXT.format("2.0\u00e9"), encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(["gmres", "--mtx", str(mtx), "--steps", "2"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: line 5: malformed entry"]
+
+
+def test_out_with_non_ascii_mtx_path_is_the_stdout_bytes(tmp_path, capsysbinary):
+    # the header records the --mtx path as typed
+    mtx = tmp_path / "caf\u00e9.mtx"
+    shutil.copy(data_path("good_square_asym.mtx"), mtx)
+    args = ["gmres", "--mtx", str(mtx), "--steps", "2"]
+    assert main(args) == 0
+    stdout = capsysbinary.readouterr().out
+    out = tmp_path / "x.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == stdout and "caf\u00e9.mtx".encode() in stdout
 
 
 @pytest.mark.parametrize("args", [

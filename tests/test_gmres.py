@@ -6,6 +6,7 @@ from kls.arnoldi import arnoldi, arnoldi_expand
 from kls.errors import DimensionError
 from kls.gmres import GmresConfig, _GivensLS, backward_error, gmres_solve
 from kls.ledger import SyncLedger
+from kls.ortho import SCHEME_IDS
 from kls.problems import (
     CsrOperator,
     DenseOperator,
@@ -272,6 +273,28 @@ def test_backward_error_stride_leaves_the_solve_unchanged(scheme, manteuffel20):
         if stride == 7:
             assert res.backward_error_iters.tolist() == [7, 14, 15, 21, 28, 30, 35, 40]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("be_stride", (0, 3))
+@pytest.mark.parametrize("rtol", (0.0, 1e-6))
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_no_restart_is_one_cycle_of_max_iters(scheme, rtol, be_stride, manteuffel20):
+    # restart 0 runs one cycle: it ends at max_iters columns, at a breakdown
+    # or at rtol, so it equals a restart length of max_iters bit for bit
+    op, b = manteuffel20
+    runs = []
+    for restart in (0, 60):
+        led = SyncLedger()
+        cfg = GmresConfig(max_iters=60, restart=restart, rtol=rtol, scheme=scheme,
+                          be_stride=be_stride)
+        res = gmres_solve(op, b, cfg, ledger=led)
+        runs.append((res.x.tobytes(), res.residual_history.tobytes(),
+                     res.backward_errors.tobytes(), res.backward_error_iters.tolist(),
+                     res.reduction_history.tobytes(), res.iterations, res.converged,
+                     res.stagnated, res.breakdown, led.reductions))
+    assert runs[0] == runs[1]
+    iterations, converged = runs[0][5:7]
+    assert converged if rtol else iterations == 60
 
 
 @pytest.mark.parametrize("scheme,napply", (("cgs2", 310), ("dcgs2", 310)))

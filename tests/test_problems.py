@@ -319,6 +319,29 @@ def test_parse_from_string(tmp_path):
     assert csr.to_dense()[0, 0] == -3.5
 
 
+NON_ASCII = "%%MatrixMarket matrix coordinate real general\n{}2 2 2\n1 1 1.0\n2 2 {}\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    (NON_ASCII.replace("general", "g\u00e9n\u00e9ral").format("", "2.0"), 1),
+    (NON_ASCII.format("", "2.0").replace("2 2 2", "2 2 2\u00e9"), 2),
+    (NON_ASCII.format("% caf\u00e9\n", "2.0\u00e9"), 5),
+    (NON_ASCII.format("", "\u0662.0"), 4),  # a non-ASCII digit is not a digit here
+])
+def test_non_ascii_byte_outside_a_comment_names_its_line(tmp_path, text, line):
+    path = tmp_path / "u.mtx"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MatrixMarketError) as err:
+        parse_matrix_market(str(path))
+    assert err.value.line == line
+
+
+def test_non_ascii_comment_passes(tmp_path):
+    path = tmp_path / "c.mtx"
+    path.write_text(NON_ASCII.format("% caf\u00e9\n", "2.0"), encoding="utf-8")
+    assert np.array_equal(parse_matrix_market(str(path)).to_dense(), np.diag([1.0, 2.0]))
+
+
 def test_square_operator_guard():
     rect = parse_matrix_market(data_path("good_general_rect.mtx"))
     with pytest.raises(DimensionError):

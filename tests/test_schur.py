@@ -51,6 +51,16 @@ def test_rotation_block_complex_pair():
     assert np.allclose(ev, [-1j, 1j])
 
 
+@pytest.mark.parametrize("n", (6, 13))
+def test_eigenvalues_are_lapacks_one_per_column(n):
+    # one eigenvalue source: the values schur_eigenvectors returns, bit for bit
+    gen = np.random.Generator(np.random.PCG64(n))
+    for _ in range(10):
+        form = hessenberg_real_schur(random_hessenberg(n, gen))
+        assert any(size == 2 for _, size in form.blocks())
+        assert np.array_equal(form.eigenvalues(), schur_eigenvectors(form.t)[0])
+
+
 def charpoly_companion_roots(h, dps=50):
     """High-precision oracle: Faddeev-LeVerrier characteristic polynomial,
     then its roots (companion-matrix polynomial solve) in mpmath."""

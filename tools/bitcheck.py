@@ -3,7 +3,7 @@
     python tools/bitcheck.py dump CHECKOUT OUT.pkl
     python tools/bitcheck.py compare A.pkl B.pkl
 
-``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 95
+``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 97
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 restarted from a Hessenberg and from a dense coupling row, for every scheme
@@ -18,7 +18,8 @@ blocks of a delayed push: QR of a 30000x24 panel by icwy-mgs, dcgs2 and
 dcgs2-hrt, and dcgs2 GMRES(30) for 60 iterations on Manteuffel k=100;
 GMRES(30) on Manteuffel k=20 with a backward error every 10 iterations
 (``be_stride``), which places stride values both mid-cycle and at cycle
-ends, for cgs2 and dcgs2; the
+ends, for cgs2 and dcgs2; full GMRES (``restart=0``, one cycle) on
+Manteuffel k=20 for 60 iterations, for cgs2 and dcgs2; the
 generators: the CSR arrays of Manteuffel k=10 and k=200, and 2000x50
 ``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12; the
 operators: ``to_dense()`` and ``frobenius_norm()`` (twice, the second from
@@ -157,9 +158,9 @@ def dump(checkout, path):
     # every multiplicity 1: the over-multiplicity flag is raised
     short = EigenvalueTable(exact.unique, exact.unique, np.ones_like(exact.multiplicity))
 
-    def gmres(s, stride, led):
+    def gmres(s, stride, led, max_iters=100, restart=30):
         m20.napply = 0
-        cfg = GmresConfig(max_iters=100, restart=30, scheme=s, be_stride=stride)
+        cfg = GmresConfig(max_iters=max_iters, restart=restart, scheme=s, be_stride=stride)
         r = gmres_solve(m20, b, cfg, ledger=led)
         return (r.x, r.residual_history, r.backward_errors, r.backward_error_iters,
                 r.reduction_history, m20.napply)
@@ -197,6 +198,7 @@ def dump(checkout, path):
     run(("gmres", "dcgs2", "m100"), gmres100)
     for s in ("cgs2", "dcgs2"):  # stride values mid-cycle and at cycle ends
         run(("gmres", s, "stride"), lambda led: gmres(s, 10, led))
+        run(("gmres", s, "full"), lambda led: gmres(s, 0, led, max_iters=60, restart=0))
 
     def cli(argv, led):
         text = io.StringIO()
