@@ -36,7 +36,7 @@ from .metrics import (
     representation_error_arnoldi,
     representation_error_qr,
 )
-from .ortho import DELAYED_SCHEMES, SCHEME_IDS, make_state, qr_factorize
+from .ortho import SCHEME_IDS, make_state, qr_factorize
 from .problems import (
     CsrMatrix,
     CsrOperator,

@@ -143,10 +143,7 @@ def _make_operator(args):
     """The operator of ``--mtx``, else of the subcommand's generator flags
     (``--laplace-dims``, or the Manteuffel family), with its CSV label."""
     if args.mtx:
-        csr = parse_matrix_market(args.mtx)
-        if csr.nrows != csr.ncols:
-            raise ValueError("matrix must be square")
-        return CsrOperator(csr), f"mtx:{args.mtx}"
+        return CsrOperator(parse_matrix_market(args.mtx)), f"mtx:{args.mtx}"
     if hasattr(args, "laplace_dims"):
         dims = _parse_list(args.laplace_dims, cast=int)
         if len(dims) != 3:
@@ -235,7 +232,10 @@ def _cmd_gmres(args):
         raise ValueError("--steps must be >= 1")
     op, problem = _make_operator(args)
     b = op.apply(np.ones(op.n))
-    b = b / np.linalg.norm(b)
+    bnorm = np.linalg.norm(b)
+    if bnorm in (0.0, np.inf):  # zero row sums or overflow; NaN is a nonfinite image
+        raise ValueError(f"right-hand side A*1 / ||A*1|| undefined: ||A*1|| = {bnorm}")
+    b = b / bnorm
 
     def worker(scheme):
         cfg = GmresConfig(max_iters=args.steps, restart=args.restart, scheme=scheme,

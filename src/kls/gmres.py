@@ -116,14 +116,10 @@ class _GivensLS:
 
     def solve(self):
         k = self.ncols
-        if k == 0:
-            return np.zeros(0)
         diag = np.diag(self.r[:k, :k])
         if np.any(diag == 0.0):
             # exact breakdown column: solve the nonsingular leading part
             k = int(np.argmax(diag == 0.0))
-            if k == 0:
-                return np.zeros(self.ncols)
         y = np.zeros(self.ncols)
         y[:k] = scipy.linalg.solve_triangular(self.r[:k, :k], self.rhs[:k])
         return y

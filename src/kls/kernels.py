@@ -107,6 +107,5 @@ def mv_times_mat_add_mv(Y, B, S, ledger=None):
             _ledger.MV_TIMES_MAT_ADD_MV,
             flops=2 * B.shape[0] * B.shape[1] * S.shape[1],
         )
-    if B.shape[1]:
-        Y -= B @ S  # the bits of Y + (-(B @ S)), one temporary fewer
+    Y -= B @ S  # the bits of Y + (-(B @ S)), one temporary fewer
     return Y

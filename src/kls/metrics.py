@@ -40,8 +40,6 @@ def representation_error_arnoldi(op, Q, H):
         raise DimensionError(
             f"expected basis k+1 columns and (k+1)-by-k H, got {Q.shape} and {H.shape}"
         )
-    if k == 0:
-        return 0.0
     op = as_operator(op)
     denom = op.frobenius_norm()
     if denom == 0.0:

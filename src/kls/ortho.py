@@ -414,8 +414,6 @@ class IcwyMgsState(_DelayedState):
     def _project(self, s):
         """Apply the inverse compact WY correction (I + L)^-1 to s."""
         k = len(s)
-        if k == 0:
-            return s
         self.ledger.add_flops(k * k)
         # LAPACK reads no diagonal of a unit triangle: L's zeros stand for I
         return scipy.linalg.solve_triangular(self._l[:k, :k], s, lower=True, unit_diagonal=True)
@@ -563,9 +561,6 @@ _STATES = {
 PUSH_SCHEMES = tuple(_STATES)
 
 SCHEME_IDS = PUSH_SCHEMES + ("householder",)
-
-#: schemes that hold a pending column and need finalize to flush it
-DELAYED_SCHEMES = tuple(s for s, cls in _STATES.items() if cls.delayed)
 
 
 def make_state(scheme, m, n_cap, ledger=None):

@@ -213,7 +213,8 @@ def manteuffel_eigenvalues(spec):
     """Closed-form spectrum of the convection-diffusion operator.
 
     lambda_(l,j) = 2 [2 - sqrt(1 - (beta/2)^2) (cos(l pi/(k+1)) + cos(j pi/(k+1)))]
-    for l, j = 1..k.
+    for l, j = 1..k.  A sorted value within 1e-12 * max(|lambda|, 1) of the
+    previous one joins its group; ``unique`` holds each group's first value.
     """
     if abs(spec.beta) > 2.0:
         raise ValueError("|beta| <= 2 required for a real spectrum")
@@ -222,18 +223,8 @@ def manteuffel_eigenvalues(spec):
     lam = 2.0 * (2.0 - radical * (theta[:, None] + theta[None, :]))
     values = np.sort(lam.ravel())
     scale = max(abs(values[0]), abs(values[-1]), 1.0)
-    unique, mult = [], []
-    for v in values:
-        if unique and abs(v - unique[-1]) <= 1e-12 * scale:
-            mult[-1] += 1
-        else:
-            unique.append(v)
-            mult.append(1)
-    return EigenvalueTable(
-        values=values,
-        unique=np.array(unique),
-        multiplicity=np.array(mult, dtype=np.int64),
-    )
+    starts = np.flatnonzero(np.r_[True, np.diff(values) > 1e-12 * scale])
+    return EigenvalueTable(values, values[starts], np.diff(np.r_[starts, values.size]))
 
 
 def laplace3d(nx, ny, nz):
@@ -274,7 +265,8 @@ def parse_matrix_market(path):
     are rejected.  Malformed input raises ``MatrixMarketError`` with the
     offending line number; the entries are read in one pass, so a declared
     count is checked against the lines that are there.  A byte outside
-    ASCII passes in a comment and makes any other line malformed.
+    ASCII passes in a comment and makes any other line malformed, as do a
+    ``_`` (``1_0``) and a non-finite value (``nan``, ``1e999``).
     """
     with open(path, "r", encoding="ascii", errors="replace") as f:
         parts = f.readline().strip().split()
@@ -296,6 +288,8 @@ def parse_matrix_market(path):
             toks = raw.split()
             if not toks or toks[0].startswith("%"):
                 continue
+            if "_" in raw:  # int() and float() read digit groups; Matrix Market has none
+                raise MatrixMarketError("'_' in a number", line=lineno)
             if size is None:
                 if len(toks) != 3:
                     raise MatrixMarketError("size line needs 'rows cols nnz'", line=lineno)
@@ -316,6 +310,8 @@ def parse_matrix_market(path):
                 i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
             except ValueError:
                 raise MatrixMarketError("malformed entry", line=lineno) from None
+            if not np.isfinite(v):
+                raise MatrixMarketError(f"non-finite value {toks[2]!r}", line=lineno)
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 raise MatrixMarketError(
                     f"index ({i}, {j}) out of bounds for {nrows}x{ncols}",

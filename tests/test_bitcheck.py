@@ -20,7 +20,7 @@ def _bitcheck(*args):
 def test_bitcheck_dump_matches_itself(tmp_path):
     out = str(tmp_path / "dump.pkl")
     _bitcheck("dump", ROOT, out)
-    assert _bitcheck("compare", out, out).startswith("97 cases, 0 differ")
+    assert _bitcheck("compare", out, out).startswith("223 cases, 0 differ")
 
 
 def test_bitcheck_compare_lists_each_difference(tmp_path):

@@ -1,6 +1,7 @@
 import argparse
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,51 @@ def test_out_with_non_ascii_mtx_path_is_the_stdout_bytes(tmp_path, capsysbinary)
     assert out.read_bytes() == stdout and "caf\u00e9.mtx".encode() in stdout
 
 
+#: stands for the path of a 3x3 path-graph Laplacian written under tmp_path
+LAPLACIAN = "<laplacian.mtx>"
+
+
+def _write_laplacian(tmp_path):
+    path = tmp_path / "laplacian.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n"
+                    "1 1 1.0\n2 1 -1.0\n2 2 2.0\n3 2 -1.0\n3 3 1.0\n")
+    return str(path)
+
+
+def test_laplacian_runs_arnoldi_stability(tmp_path):
+    # only gmres's right-hand side needs nonzero row sums
+    code, text = run_csv(tmp_path, ["arnoldi-stability", "--mtx", _write_laplacian(tmp_path),
+                                    "--steps", "2", "--stride", "1"])
+    assert code == 0 and len(rows_of(text)) > 1
+
+
+@pytest.mark.parametrize("text,norm", [
+    (None, "0.0"),  # zero row sums
+    ("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1e308\n1 2 1e308\n"
+     "2 2 1.0\n", "inf"),  # a row sum beyond the float64 range
+])
+def test_gmres_undefined_right_hand_side_exits_2(capsys, tmp_path, text, norm):
+    path = tmp_path / "a.mtx"
+    if text is None:
+        path = _write_laplacian(tmp_path)
+    else:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        main(["gmres", "--mtx", str(path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: right-hand side A*1 / ||A*1|| undefined: ||A*1|| = {norm}"]
+
+
+def test_rectangular_mtx_names_its_shape(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["gmres", "--mtx", data_path("good_general_rect.mtx")])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: square matrix expected, got (3, 4)"]
+
+
 @pytest.mark.parametrize("args", [
     ["arnoldi-stability", "--manteuffel-k", "4", "--stride", "0"],
     ["arnoldi-stability", "--manteuffel-k", "4", "--steps", "0"],
@@ -211,11 +257,19 @@ def test_out_with_non_ascii_mtx_path_is_the_stdout_bytes(tmp_path, capsysbinary)
     ["arnoldi-stability", "--mtx", data_path("good_general_rect.mtx")],
     # a declared count far beyond the entries present
     ["gmres", "--mtx", data_path("bad_huge_count.mtx")],
+    # numbers that Python reads and Matrix Market does not define
+    ["gmres", "--mtx", data_path("bad_underscore.mtx")],
+    ["gmres", "--mtx", data_path("bad_nan.mtx")],
+    ["gmres", "--mtx", data_path("bad_overflow.mtx")],
+    # zero row sums: gmres's right-hand side A*1 / ||A*1|| is 0/0
+    ["gmres", "--mtx", LAPLACIAN],
 ])
 def test_configuration_error_exits_2(tmp_path, capsys, args):
-    # a configuration the library rejects: one error line, no CSV
+    # a configuration the library rejects: one error line, no CSV, no warning
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as err:
+    args = [_write_laplacian(tmp_path) if a == LAPLACIAN else a for a in args]
+    with pytest.raises(SystemExit) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
         main(args + ["--out", str(out)])
     assert err.value.code == 2
     lines = capsys.readouterr().err.splitlines()
@@ -323,24 +377,33 @@ def test_breakdown_row_reports_its_step(tmp_path, monkeypatch, command):
     assert [(r[1], r[-1]) for r in rows] == [("5", "ok"), ("7", "breakdown-pythagorean")]
 
 
-def _nan_mtx(tmp_path):
-    """A Manteuffel k=3 matrix with one NaN entry, as a Matrix Market file."""
-    from kls.problems import ManteuffelSpec, manteuffel_build
+def _nan_mtx(tmp_path, monkeypatch):
+    """A Manteuffel k=3 matrix as a Matrix Market file, which ``kls-bench``
+    then reads with one NaN entry (the reader rejects a NaN in the file)."""
+    import kls.cli
+    from kls.problems import CsrMatrix, ManteuffelSpec, manteuffel_build
 
-    csr = manteuffel_build(ManteuffelSpec(k=3))
-    csr.data[4] = np.nan
     path = tmp_path / "nan.mtx"
-    write_mtx(str(path), csr)
+    write_mtx(str(path), manteuffel_build(ManteuffelSpec(k=3)))
+    parse = kls.cli.parse_matrix_market
+
+    def parse_with_nan(mtx):
+        csr = parse(mtx)
+        data = csr.data.copy()
+        data[4] = np.nan
+        return CsrMatrix(csr.nrows, csr.ncols, csr.indptr, csr.indices, data)
+
+    monkeypatch.setattr(kls.cli, "parse_matrix_market", parse_with_nan)
     return str(path)
 
 
 @pytest.mark.parametrize("command", ["arnoldi-stability"])
-def test_nonfinite_row_reports_its_step_and_exits_4(tmp_path, command):
+def test_nonfinite_row_reports_its_step_and_exits_4(tmp_path, monkeypatch, command):
     # the first operator image holds the NaN, so every scheme stops at step 1
     schemes = ["cgs2", "dcgs2", "householder"]
     code, text = run_csv(
         tmp_path,
-        [command, "--mtx", _nan_mtx(tmp_path), "--steps", "8", "--stride", "5",
+        [command, "--mtx", _nan_mtx(tmp_path, monkeypatch), "--steps", "8", "--stride", "5",
          "--seed", "2"] + [arg for s in schemes for arg in ("--scheme", s)],
     )
     assert code == 4
@@ -348,9 +411,9 @@ def test_nonfinite_row_reports_its_step_and_exits_4(tmp_path, command):
     assert [(r[0], r[1], r[-1]) for r in rows] == [(s, "1", "nonfinite") for s in schemes]
 
 
-def test_gmres_nonfinite_start_exits_4(tmp_path, capsys):
+def test_gmres_nonfinite_start_exits_4(tmp_path, monkeypatch, capsys):
     # b = A 1 holds the NaN, and so does the start vector of the first cycle
-    code = main(["gmres", "--mtx", _nan_mtx(tmp_path), "--steps", "4",
+    code = main(["gmres", "--mtx", _nan_mtx(tmp_path, monkeypatch), "--steps", "4",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 4
     assert "nonfinite" in capsys.readouterr().err

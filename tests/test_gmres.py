@@ -60,6 +60,20 @@ def test_givens_least_squares_zero_column_solves_leading_part():
     assert np.allclose(ls.solve(), [2.0 * 3.0 / 25.0, 0.0], rtol=1e-15, atol=0.0)
 
 
+def test_givens_least_squares_without_columns_is_empty():
+    y = _GivensLS(3, 2.0).solve()
+    assert y.shape == (0,) and y.dtype == np.float64
+
+
+def test_givens_least_squares_zero_first_column_solves_nothing():
+    # a zero first diagonal leaves no nonsingular leading part: y is zero
+    ls = _GivensLS(3, 2.0)
+    ls.append(np.zeros(2))
+    ls.append(np.array([3.0, 4.0, 0.0]))
+    y = ls.solve()
+    assert y.tolist() == [0.0, 0.0] and not np.any(np.signbit(y))
+
+
 def test_laplace_slab_matches_direct_solve():
     op = laplace3d(32, 32, 1)  # 32x32 grid slab
     a = op.to_dense()

@@ -156,6 +156,15 @@ def test_mv_times_mat_add_mv_projection():
     assert out is y  # in-place
 
 
+def test_mv_times_empty_block_keeps_the_bits_of_y():
+    # the first column's update: Y - 0 is Y, signed zeros included
+    y = np.array([[-0.0], [0.0], [1.5]])
+    bits = y.tobytes()
+    led = SyncLedger()
+    mv_times_mat_add_mv(y, np.zeros((3, 0)), np.zeros((0, 1)), ledger=led)
+    assert y.tobytes() == bits and led.kernel_counts[MV_TIMES_MAT_ADD_MV] == 1
+
+
 def test_mv_times_zero_coefficients(rng):
     y = rng.standard_normal((7, 1))
     before = y.copy()

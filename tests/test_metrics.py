@@ -73,6 +73,14 @@ def test_rre_arnoldi_no_incremental_drift(rng):
     assert a1 == pytest.approx(a2, abs=1e-15)
 
 
+def test_rre_arnoldi_without_columns_is_zero():
+    # k = 0: one basis column and a 1-by-0 H; the empty residual has norm 0
+    op = CsrOperator(manteuffel_build(ManteuffelSpec(k=3)))
+    q = np.ones((op.n, 1)) / 3.0
+    assert representation_error_arnoldi(op, q, np.zeros((1, 0))) == 0.0
+    assert op.napply == 0
+
+
 def test_rre_arnoldi_shape_guard(rng):
     with pytest.raises(DimensionError):
         representation_error_arnoldi(np.eye(4), np.ones((4, 3)), np.ones((3, 3)))

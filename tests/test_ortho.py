@@ -12,7 +12,6 @@ from kls.ledger import (
 )
 from kls.metrics import loss_of_orthogonality, representation_error_qr
 from kls.ortho import (
-    DELAYED_SCHEMES,
     PUSH_SCHEMES,
     SCHEME_IDS,
     Dcgs2State,
@@ -20,6 +19,9 @@ from kls.ortho import (
     qr_factorize,
 )
 from kls.problems import synthetic_kappa
+
+#: the schemes whose push states hold a pending column until finalize
+DELAYED_SCHEMES = tuple(s for s in PUSH_SCHEMES if make_state(s, 1, 1).delayed)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,30 @@ def test_manteuffel_beta_zero_is_laplacian():
     assert np.allclose(table.values, expected, atol=1e-14)
 
 
+def _grouped_by_loop(values, scale):
+    """The grouping ``manteuffel_eigenvalues`` made before it used numpy:
+    a value joins the group whose first value lies within the tolerance."""
+    unique, mult = [], []
+    for v in values:
+        if unique and abs(v - unique[-1]) <= 1e-12 * scale:
+            mult[-1] += 1
+        else:
+            unique.append(v)
+            mult.append(1)
+    return np.array(unique), np.array(mult, dtype=np.int64)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 2.0])
+def test_manteuffel_eigenvalue_groups_match_the_loop(beta):
+    for k in range(1, 61):
+        table = manteuffel_eigenvalues(ManteuffelSpec(k=k, beta=beta))
+        scale = max(abs(table.values[0]), abs(table.values[-1]), 1.0)
+        unique, mult = _grouped_by_loop(table.values, scale)
+        assert table.unique.dtype == unique.dtype and np.array_equal(table.unique, unique)
+        assert table.multiplicity.dtype == mult.dtype
+        assert np.array_equal(table.multiplicity, mult)
+
+
 def _manteuffel_coo(spec):
     """Reference assembly: the row-by-row stencil triplets of M and N, each
     summed by ``from_coo``, then the scaled parts summed by ``from_coo``."""
@@ -296,6 +320,45 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(MatrixMarketError) as err:
         parse_matrix_market(data_path("bad_oob.mtx"))
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("name,line", [
+    ("bad_underscore.mtx", 3), ("bad_nan.mtx", 4), ("bad_overflow.mtx", 4),
+])
+def test_non_matrix_market_number_names_its_line(name, line):
+    # int() and float() read digit groups and non-finite values; a Matrix
+    # Market number is neither
+    with pytest.raises(MatrixMarketError) as err:
+        parse_matrix_market(data_path(name))
+    assert err.value.line == line
+
+
+NUMBERS = "%%MatrixMarket matrix coordinate real general\n{} {} 2\n{} 1 1.0\n2 2 {}\n"
+
+
+@pytest.mark.parametrize("tokens,line", [
+    (("2_0", "20", "1", "2.0"), 2),
+    (("20", "2_0", "1", "2.0"), 2),
+    (("20", "20", "1_0", "2.0"), 3),
+    (("20", "20", "1", "2_0.0"), 4),
+    (("20", "20", "1", "1e1_0"), 4),
+    (("20", "20", "1", "inf"), 4),
+    (("20", "20", "1", "-Infinity"), 4),
+    (("20", "20", "1", "NaN"), 4),
+    (("20", "20", "1", "-1e400"), 4),
+])
+def test_non_matrix_market_token_names_its_line(tmp_path, tokens, line):
+    path = tmp_path / "n.mtx"
+    path.write_text(NUMBERS.format(*tokens))
+    with pytest.raises(MatrixMarketError) as err:
+        parse_matrix_market(str(path))
+    assert err.value.line == line
+
+
+def test_largest_finite_value_passes(tmp_path):
+    path = tmp_path / "n.mtx"
+    path.write_text(NUMBERS.format("2", "2", "1", "1.7976931348623157e308"))
+    assert parse_matrix_market(str(path)).data[-1] == np.finfo(np.float64).max
 
 
 def test_roundtrip_random_csr(rng, tmp_path):

@@ -3,7 +3,7 @@
     python tools/bitcheck.py dump CHECKOUT OUT.pkl
     python tools/bitcheck.py compare A.pkl B.pkl
 
-``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 97
+``dump`` imports kls from ``CHECKOUT/src`` and pickles the outputs of 223
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 restarted from a Hessenberg and from a dense coupling row, for every scheme
@@ -21,9 +21,11 @@ GMRES(30) on Manteuffel k=20 with a backward error every 10 iterations
 ends, for cgs2 and dcgs2; full GMRES (``restart=0``, one cycle) on
 Manteuffel k=20 for 60 iterations, for cgs2 and dcgs2; the
 generators: the CSR arrays of Manteuffel k=10 and k=200, and 2000x50
-``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12; the
-operators: ``to_dense()`` and ``frobenius_norm()`` (twice, the second from
-its cache) of a ``DenseOperator``, a ``CsrOperator`` and ``laplace3d(4, 3,
+``synthetic_kappa`` matrices at kappa 1e0, 1e4, 1e8 and 1e12, and the
+exact spectrum ``manteuffel_eigenvalues`` (values, unique values and
+multiplicities, with their dtypes) for k = 1..40, 100 and 200 at beta 0,
+0.5 and 2; the operators: ``to_dense()`` and ``frobenius_norm()`` (twice,
+the second from its cache) of a ``DenseOperator``, a ``CsrOperator`` and ``laplace3d(4, 3,
 5)`` (keyed ``stencil``, as when it was matrix-free), and ``eig_diagnostics``
 on Manteuffel k=6; the CSR arrays ``parse_matrix_market`` reads from each of
 the 8 ``tests/data/good_*.mtx`` files next to this script (so that both
@@ -105,6 +107,14 @@ def dump(checkout, path):
             lambda led: arrays(parse_matrix_market(mtx)))
     for kappa in (1e0, 1e4, 1e8, 1e12):
         run(("problems", "kappa", kappa), lambda led: synthetic_kappa(2000, 50, kappa, 13))
+
+    def spectrum(k, beta):  # the exact spectrum's arrays and their dtypes
+        t = manteuffel_eigenvalues(ManteuffelSpec(k=k, beta=beta))
+        return [(a, a.dtype.str) for a in (t.values, t.unique, t.multiplicity)]
+
+    for beta in (0.0, 0.5, 2.0):
+        for k in (*range(1, 41), 100, 200):
+            run(("problems", "spectrum", k, beta), lambda led: spectrum(k, beta))
     a30 = np.random.Generator(np.random.PCG64(10)).standard_normal((30, 30))
     operators = (("dense", DenseOperator(a30)), ("stencil", laplace3d(4, 3, 5)),
                  ("csr", CsrOperator(manteuffel_build(ManteuffelSpec(k=6)))))
