@@ -13,7 +13,8 @@ square, and the expansion stops; a breakdown is never normalized through.
 vector (a GMRES cycle) or from A V_k = V_{k+1} Hbar (a Krylov-Schur thick
 restart), so one expansion serves a whole solve.
 
-The immediate Gram-Schmidt schemes normalize the start vector locally, so
+The immediate Gram-Schmidt schemes normalize the start vector by an
+``np.linalg.norm`` the ledger leaves out (see ``ledger``), so
 per-iteration reduction counts start with the first projection step;
 ``householder`` pushes it as its first reflector.  The delayed schemes push
 the start vector unnormalized, emit it at the first step, and from then on

@@ -6,10 +6,10 @@ turns one point into rows of fields; ``_sweep`` runs the points, on
 ``--jobs`` threads for any subcommand, writes the CSV and derives the exit
 code from the row statuses.  Every CSV starts with ``#`` comment lines
 carrying the library version and the full configuration, so a data file
-regenerates bit-for-bit from its own header.  Exit codes: 0 success, 2
-configuration error (a malformed or unreadable ``--mtx`` file included), 3
-assertion failure (a sync-count ``FAIL`` or an ``over-multiplicity`` row), 4
-a numerical failure halted a run.
+regenerates bit-for-bit from its own header, for a fixed BLAS thread count.
+Exit codes: 0 success, 2 configuration error (a malformed or unreadable
+``--mtx`` file included), 3 assertion failure (a sync-count ``FAIL`` or an
+``over-multiplicity`` row), 4 a numerical failure halted a run.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from .errors import BreakdownError, IterationLimitError, NonFiniteError
 from .gmres import GmresConfig, gmres_solve
 from .ledger import SyncLedger, assert_matches, predicted_counts
 from .metrics import loss_of_orthogonality, representation_error_arnoldi, representation_error_qr
-from .ortho import PUSH_SCHEMES, SCHEME_IDS, qr_factorize
+from .ortho import SCHEME_IDS, qr_factorize
 from .problems import (
     CsrOperator,
     ManteuffelSpec,
@@ -283,11 +283,11 @@ def _cmd_sync_count(args):
 # ---------------------------------------------------------------------------
 
 
-def _subcommand(sub, name, summary, func, schemes, choices=SCHEME_IDS):
+def _subcommand(sub, name, summary, func, schemes):
     """A subparser with the options every sweep takes; ``schemes`` is the
     default of ``--scheme``."""
     p = sub.add_parser(name, help=summary)
-    p.add_argument("--scheme", action="append", choices=choices,
+    p.add_argument("--scheme", action="append", choices=SCHEME_IDS,
                    help="orthogonalization scheme (repeatable)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})")
@@ -350,9 +350,8 @@ def build_parser():
                    help="also record the backward error every N iterations "
                         "(0: only at the end of each restart cycle)")
 
-    # the predicted totals cover the push schemes only
     p = _subcommand(sub, "sync-count", "measured vs predicted reduction totals",
-                    _cmd_sync_count, PUSH_SCHEMES, choices=PUSH_SCHEMES)
+                    _cmd_sync_count, SCHEME_IDS)
     p.add_argument("--rows", type=int, default=5000)
     p.add_argument("--cols", type=int, default=50)
 

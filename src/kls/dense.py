@@ -1,10 +1,10 @@
 """Householder QR on LAPACK reflectors, and random test-matrix utilities.
 
-The Householder factorization is the orthogonality reference for every
-Gram-Schmidt scheme: its loss of orthogonality is machine-precision level
+The right-looking ``householder_qr`` is the tests' orthogonality reference,
+not a scheme: its loss of orthogonality is machine-precision level
 unconditionally, so scheme outputs are compared against it.  LAPACK does
 all of the reflector arithmetic and holds the reflectors in its compact
-``(a, tau)`` form, which QR and Householder Arnoldi share.
+``(a, tau)`` form, which ``ortho.HouseholderState`` adopts a basis into.
 """
 
 import numpy as np

@@ -10,10 +10,10 @@ count the degenerate first-column collectives too.  The update kernel
 ``mv_times_mat_add_mv`` only subtracts, Y <- Y - B S, the one projection.
 
 All arithmetic is float64 and deterministic for fixed inputs: the
-summation order is fixed by the operand shapes, and results are
-reproducible run to run.  ``mv_trans_mv`` with two or more right-hand
-columns sums over row blocks once the operands are taller than one block
-(``_block_rows``); every other product is one BLAS call.
+summation order is fixed by the operand shapes, for a fixed BLAS thread
+count.  ``mv_trans_mv`` with two or more right-hand columns sums over row
+blocks once the operands are taller than one block (``_block_rows``);
+every other product is one BLAS call.
 """
 
 import numpy as np

@@ -4,6 +4,11 @@ A "global reduction" is counted at kernel granularity: every invocation of a
 reducing kernel class (``MvTransMv``, ``MvDot``) is one synchronization,
 regardless of how many values the call reduces.  ``MvTimesMatAddMv`` never
 reduces.  One ledger belongs to one run; parallel runs use separate ledgers.
+Two ``np.linalg.norm`` calls, each a global reduction in a distributed run,
+are left out: the breakdown guard's norm of every pushed column, for every
+scheme (``ortho.QrState._take``; it could be fused into the column's first
+reduction, [Q, a]^T a), and the immediate Gram-Schmidt schemes' start-vector
+norm, once per GMRES cycle or expansion (``arnoldi``'s ``restart``).
 """
 
 from dataclasses import dataclass, field
@@ -73,6 +78,7 @@ _COSTS = {
     "icwy-mgs": (lambda j: 1, 3.0, 0),
     "dcgs2": (lambda j: 1, 4.0, 2),
     "dcgs2-hrt": (lambda j: 1, 3.0, 2),
+    "householder": (lambda j: 2 * j, 4.0, 0),
 }
 
 

@@ -26,17 +26,16 @@ a view of the state's R.  A dependent column raises ``BreakdownError`` and
 leaves its attempted coefficients in its R column, over a zero diagonal.
 
 Scheme ids: cgs, cgs2, cgs2-lagged, mgs, icwy-mgs, dcgs2, dcgs2-hrt,
-householder.  ``householder`` has a push state too, Walker's Householder
-orthogonalization (``HouseholderState``), which Arnoldi runs on; but
-``qr_factorize`` returns the reference ``dense.householder_qr``, LAPACK's
-QR, and the state has no cost model.
+householder, each with a cost model in ``ledger``.  ``householder`` is
+Walker's Householder orthogonalization (``HouseholderState``); LAPACK's
+right-looking ``dense.householder_qr`` is the tests' reference, not a scheme.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .dense import householder_qr, reflectors
+from .dense import reflectors
 from .errors import BreakdownError, DimensionError, NonFiniteError, UnknownSchemeError
 from .kernels import dot, mv_times_mat_add_mv, mv_trans_mv, norm2
 from .ledger import MV_DOT, MV_TIMES_MAT_ADD_MV, SyncLedger
@@ -497,8 +496,8 @@ class HouseholderState(QrState):
     returns them: push j applies P_{j-1} ... P_0 to the column, makes P_j
     with ``dgeqrfp`` on the tail, and forms q_j = P_0 ... P_j e_j with
     ``dormqr``.  The ledger is charged Walker's counts from the formula: one
-    dot and one update per applied reflector that is not the identity, and
-    one dot (the tail norm) per new reflector.
+    dot and one update per applied reflector, identity ones included, and
+    one dot (the tail norm) per new reflector: 2(j + 1) reductions at push j.
     """
 
     scheme_id = "householder"
@@ -520,7 +519,7 @@ class HouseholderState(QrState):
     def _apply(self, z, r, trans):
         """P_{r-1} ... P_0 z (trans "T") or P_0 ... P_{r-1} z (trans "N")."""
         tau = self._tau[:r]
-        for i in np.flatnonzero(tau):
+        for i in range(r):
             self.ledger.record(MV_DOT, flops=2 * (self.m - i))
             self.ledger.record(MV_TIMES_MAT_ADD_MV, flops=2 * (self.m - i))
         return lapack.dormqr("L", trans, self._refl[:, :r], tau, z[:, None], lwork=1)[0][:, 0]
@@ -543,7 +542,7 @@ class HouseholderState(QrState):
         self._record(z[:j], float(refl[0, 0]))
 
 
-#: the scheme registry: the push states with a cost model, by scheme id
+#: the scheme registry: the push states, each with a cost model, by scheme id
 _STATES = {
     cls.scheme_id: cls
     for cls in (
@@ -554,19 +553,15 @@ _STATES = {
         IcwyMgsState,
         Dcgs2State,
         Dcgs2HrtState,
+        HouseholderState,
     )
 }
 
-#: schemes ``qr_factorize`` pushes, each with a cost model in ``ledger``
-PUSH_SCHEMES = tuple(_STATES)
-
-SCHEME_IDS = PUSH_SCHEMES + ("householder",)
+SCHEME_IDS = tuple(_STATES)
 
 
 def make_state(scheme, m, n_cap, ledger=None):
-    """Construct the push state for a scheme id, ``householder`` included."""
-    if scheme == "householder":
-        return HouseholderState(m, n_cap, ledger=ledger)
+    """Construct the push state for a scheme id."""
     try:
         cls = _STATES[scheme]
     except KeyError:
@@ -577,17 +572,15 @@ def make_state(scheme, m, n_cap, ledger=None):
 def qr_factorize(A, scheme, ledger=None):
     """Factorize a full matrix with the chosen scheme; returns (Q, R).
 
-    ``householder`` returns the LAPACK reference ``dense.householder_qr``,
-    not its push state; all other ids copy A into the basis storage in row
-    blocks, which read a row-major A in order, and push each column from its
-    home there (``_take``'s copy is then a no-op): every layout of A gives
-    the same bits.  Q and R are the views ``QrState.finalize`` returns.
+    A is copied into the basis storage in row blocks, which read a
+    row-major A in order, and each column is pushed from its home there
+    (``_take``'s copy is then a no-op): every layout of A gives the same
+    bits.  Q and R are the views ``QrState.finalize`` returns.  The LAPACK
+    QR ``dense.householder_qr`` is the tests' reference, not a scheme.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise DimensionError(f"tall matrix expected, got {A.shape}")
-    if scheme == "householder":
-        return householder_qr(A, ledger=ledger)
     (m, n), state = A.shape, make_state(scheme, *A.shape, ledger=ledger)
     rows = max(1, _PASS_BYTES // (16 * max(n, 1)))  # A and its home
     for i in range(0, m, rows):

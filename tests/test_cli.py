@@ -463,11 +463,12 @@ def test_qr_stability_builds_each_matrix_once(tmp_path, monkeypatch):
     assert sorted(built) == [1e0, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12]
 
 
-def test_sync_count_takes_only_push_schemes():
-    # the predicted totals cover the push schemes only
-    with pytest.raises(SystemExit) as err:
-        main(["sync-count", "--scheme", "householder"])
-    assert err.value.code == 2
+def test_sync_count_takes_householder(tmp_path):
+    # Walker's push state pays 2j reductions at column j: n(n+1) in all
+    code, text = run_csv(tmp_path, ["sync-count", "--scheme", "householder", "--rows", "40",
+                                    "--cols", "6"])
+    assert code == 0
+    assert rows_of(text)[1:] == ["householder,6,40,42,42,0,0,pass"]
 
 
 def _subparsers():

@@ -114,7 +114,8 @@ def test_flop_lead_coefficients_at_scale():
     m, n = 100_000, 100
     rng = np.random.Generator(np.random.PCG64(8))
     a = rng.standard_normal((m, n))
-    for scheme in ("cgs", "cgs2", "cgs2-lagged", "mgs", "icwy-mgs", "dcgs2", "dcgs2-hrt"):
+    for scheme in ("cgs", "cgs2", "cgs2-lagged", "mgs", "icwy-mgs", "dcgs2", "dcgs2-hrt",
+                   "householder"):
         led = SyncLedger()
         qr_factorize(a, scheme, ledger=led)
         lead = led.flops / (m * n * n)

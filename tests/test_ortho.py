@@ -12,7 +12,6 @@ from kls.ledger import (
 )
 from kls.metrics import loss_of_orthogonality, representation_error_qr
 from kls.ortho import (
-    PUSH_SCHEMES,
     SCHEME_IDS,
     Dcgs2State,
     make_state,
@@ -21,7 +20,7 @@ from kls.ortho import (
 from kls.problems import synthetic_kappa
 
 #: the schemes whose push states hold a pending column until finalize
-DELAYED_SCHEMES = tuple(s for s in PUSH_SCHEMES if make_state(s, 1, 1).delayed)
+DELAYED_SCHEMES = tuple(s for s in SCHEME_IDS if make_state(s, 1, 1).delayed)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +45,7 @@ def test_against_householder_oracle(scheme, rng):
     assert np.allclose(np.tril(r, -1), 0.0)
 
 
-@pytest.mark.parametrize("scheme", PUSH_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_duplicate_column_breaks_down(scheme, rng):
     # delayed schemes surface the dependence one push later, so the whole
     # remaining factorization sits inside the raises block
@@ -59,7 +58,7 @@ def test_duplicate_column_breaks_down(scheme, rng):
         state.finalize()
 
 
-@pytest.mark.parametrize("scheme", PUSH_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_reduction_count_per_column(scheme, rng):
     m, n = 60, 8
     state = make_state(scheme, m, n)
@@ -76,7 +75,7 @@ def test_reduction_count_per_column(scheme, rng):
         assert counts == [per_iteration_synchs(scheme, j) for j in range(1, n + 1)]
 
 
-@pytest.mark.parametrize("scheme", [s for s in PUSH_SCHEMES])
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_totals_match_prediction(scheme, rng):
     for n in (5, 17, 50, 100):
         a = rng.standard_normal((120, n))
@@ -93,9 +92,8 @@ def test_representation_error_machine_level(scheme, rng):
 
 
 def test_registry_agrees_with_cost_models():
-    # every push scheme has a cost model and every cost model a push scheme
-    assert sorted(PUSH_SCHEMES) == sorted(_COSTS)
-    assert SCHEME_IDS == PUSH_SCHEMES + ("householder",)
+    # every scheme has a cost model and every cost model a scheme
+    assert sorted(SCHEME_IDS) == sorted(_COSTS)
     assert DELAYED_SCHEMES == ("icwy-mgs", "dcgs2", "dcgs2-hrt")
 
 
@@ -124,6 +122,24 @@ def test_householder_push_state_matches_lapack_reference(rng):
     assert np.array_equal(fresh.q, q)
     with pytest.raises(DimensionError):  # the reflectors encode a whole basis only
         fresh.adopt(q[:, :1])
+
+
+@pytest.mark.parametrize("shape", [(50, 50), (3000, 30)], ids=["square", "tall"])
+def test_householder_qr_is_its_push_state(shape, rng):
+    # qr_factorize runs Walker's push state, bit for bit, for the n(n+1)
+    # reductions of its cost model; a square panel's last reflector acts on
+    # one entry and is charged even when it is the identity
+    a = rng.standard_normal(shape)
+    led = SyncLedger()
+    q, r = qr_factorize(a, "householder", ledger=led)
+    state = make_state("householder", *shape)
+    for j in range(shape[1]):
+        state.push(a[:, j])
+    qs, rs = state.finalize()
+    assert (_bits(q), _bits(r)) == (_bits(qs), _bits(rs))
+    assert (led.reductions, led.flops) == (state.ledger.reductions, state.ledger.flops)
+    n = shape[1]
+    assert led.reductions == predicted_counts("householder", n).total_synchs == n * (n + 1)
 
 
 def test_householder_dependent_column_keeps_its_coefficients(rng):
@@ -158,8 +174,8 @@ def _bits(x):
 
 @pytest.mark.parametrize(
     "scheme, shape",
-    [pytest.param(s, (400, 40), id=s) for s in PUSH_SCHEMES]
-    + [pytest.param(s, (10001, 40), id=f"{s}-tall") for s in PUSH_SCHEMES],
+    [pytest.param(s, (400, 40), id=s) for s in SCHEME_IDS]
+    + [pytest.param(s, (10001, 40), id=f"{s}-tall") for s in SCHEME_IDS],
 )
 def test_qr_independent_of_input_layout(scheme, shape, rng):
     # A is copied into the basis before any arithmetic, so the input's
@@ -176,7 +192,9 @@ def test_qr_independent_of_input_layout(scheme, shape, rng):
     assert runs[2] == runs[0]
 
 
-@pytest.mark.parametrize("scheme", PUSH_SCHEMES)
+# householder adopts into an empty state only (see
+# test_householder_push_state_matches_lapack_reference)
+@pytest.mark.parametrize("scheme", [s for s in SCHEME_IDS if s != "householder"])
 def test_finalize_returns_append_only_views(scheme, rng):
     a = rng.standard_normal((50, 6))
     q, r = qr_factorize(a, scheme)
@@ -195,7 +213,7 @@ def test_finalize_returns_append_only_views(scheme, rng):
     assert _bits(q2[:, :4]) == q_bits and _bits(r2[:4, :4]) == r_bits
 
 
-@pytest.mark.parametrize("scheme", PUSH_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_single_non_finite_entry_raises(scheme, bad, rng):
     a = rng.standard_normal((40, 5))
@@ -206,7 +224,7 @@ def test_single_non_finite_entry_raises(scheme, bad, rng):
     assert err.value.step == 3
 
 
-@pytest.mark.parametrize("scheme", PUSH_SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
 def test_overflowing_norm_is_a_breakdown(scheme, rng):
     # every entry is finite, so this is no NonFiniteError: the column's norm
     # overflows and the breakdown guard drops it as dependent
@@ -538,7 +556,7 @@ from hypothesis import strategies as st
     n=st.integers(min_value=1, max_value=20),
     extra=st.integers(min_value=0, max_value=60),
     seed=st.integers(min_value=0, max_value=2**31),
-    scheme=st.sampled_from([s for s in SCHEME_IDS if s != "householder"]),
+    scheme=st.sampled_from(SCHEME_IDS),
 )
 def test_scheme_property_well_conditioned(n, extra, seed, scheme):
     m = n + extra
