@@ -16,14 +16,15 @@ restart), so one expansion serves a whole solve.
 The immediate Gram-Schmidt schemes normalize the start vector by an
 ``np.linalg.norm`` the ledger leaves out (see ``ledger``), so
 per-iteration reduction counts start with the first projection step;
-``householder`` pushes it as its first reflector.  The delayed schemes push
+``householder`` pushes it as its first reflector.  The states that push
+their start vector say so (``pushes_start``).  The delayed schemes push
 the start vector unnormalized, emit it at the first step, and from then on
 push the image of the unnormalized pending vector, so the fused reduction
 consumes both blocks.  Each step is one operator apply and one push: the
 apply takes the column that push needs, the pending vector when the state
 holds one, else the last basis vector.  dcgs2 emits the pending vector
 corrected by Q c, and its push state gives the image's coefficients the
-Hessenberg correction K = T - H c / alpha (``ortho._DelayedState``).
+Hessenberg correction s - H c / alpha (``ortho._DelayedState``).
 """
 
 import numpy as np
@@ -77,7 +78,7 @@ class _BaseArnoldi:
         if hbar is not None:
             state.adopt(start)
             self._h[: hbar.shape[0], : hbar.shape[1]] = hbar
-        elif state.delayed or state.scheme_id == "householder":
+        elif state.pushes_start:
             state.push(start)
         else:
             state.adopt((start / norm)[:, None])

@@ -8,12 +8,17 @@ schemes exploit.  A call with an empty basis block still records its
 reduction: per-iteration call patterns are static, so the closed-form totals
 count the degenerate first-column collectives too.  The update kernel
 ``mv_times_mat_add_mv`` only subtracts, Y <- Y - B S, the one projection.
+``mv_sweep`` is a delayed push's one sweep over the basis: its update as one
+product per row block and, optionally, the next push's fused reduction
+summed over the same blocks while they are in cache.  It alone records
+nothing: its caller, the delayed push, ledgers the projections and the
+reduction it stands for.
 
 All arithmetic is float64 and deterministic for fixed inputs: the
 summation order is fixed by the operand shapes, for a fixed BLAS thread
-count.  ``mv_trans_mv`` with two or more right-hand columns sums over row
-blocks once the operands are taller than one block (``_block_rows``);
-every other product is one BLAS call.
+count.  ``mv_trans_mv`` with two or more right-hand columns, and
+``mv_sweep``, work over row blocks of ``_block_rows`` rows once the
+operands are taller than one block; every other product is one BLAS call.
 """
 
 import numpy as np
@@ -21,11 +26,12 @@ import numpy as np
 from . import ledger as _ledger
 from .errors import DimensionError
 
-#: byte budget of one row block of the fused reduction's operands.  On a
-#: 2-core Xeon (2 MiB L2 per core, OpenBLAS 0.3.31 on one thread) blocks of
-#: 512 KiB to 1 MiB ran a 100000x51 by 100000x2 product in 2.3-2.4 ms,
-#: 256 KiB in 2.6 ms, and the unblocked dgemm in 6.7 ms; a dcgs2 QR of a
-#: 100000x100 panel took the same time with 512 KiB and 1 MiB blocks.
+#: byte budget of one row block of the fused reduction's operands, which
+#: is also the block of ``mv_sweep``.  On a 2-core Xeon (2 MiB L2 per core,
+#: OpenBLAS 0.3.31 on one thread) blocks of 512 KiB to 1 MiB ran a
+#: 100000x51 by 100000x2 product in 2.3-2.4 ms, 256 KiB in 2.6 ms, and the
+#: unblocked dgemm in 6.7 ms; ``tools/sweepbench.py`` times the sweep over
+#: budgets of 256 KiB to 2 MiB.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -54,8 +60,12 @@ def norm2(x, ledger=None):
 
 def _block_rows(k, l):
     """Rows of one block of the fused reduction over m-by-k and m-by-l
-    operands: as many as keep the block within ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // (8 * (k + l)))
+    operands: as many as keep the block within ``_BLOCK_BYTES``, rounded
+    down to a multiple of 64 rows (at least 64).  Blocks then start on
+    multiples of 64 rows, where OpenBLAS 0.3.31's products round each row
+    as they do in the whole column (a start off a multiple of 4 rows
+    changes the bits)."""
+    return max(64, _BLOCK_BYTES // (8 * (k + l)) // 64 * 64)
 
 
 def mv_trans_mv(B, X, ledger=None):
@@ -87,6 +97,51 @@ def mv_trans_mv(B, X, ledger=None):
     for i in range(r, m, r):
         np.matmul(B[i : i + r].T, X[i : i + r], out=part)
         out += part
+    return out
+
+
+def mv_sweep(V, j, K, alpha, d=1.0, ahead=False):
+    """A delayed push's one sweep over the basis storage V, in place.
+
+    With Q = V[:, :j], w = V[:, j] and a = V[:, j+1], each row block of
+    ``_block_rows(j + 2, 2)`` rows takes
+
+        a <- a / d,   [w, a] <- [w, a] - ([Q, w] K^T),   w <- w / alpha,
+
+    K being 2-by-(j+1): the update is one product, K [Q, w]^T, that reads
+    the block of [Q, w] once.  With ``ahead`` the sweep then adds the
+    block's partial sum of V[:, :j+2]^T V[:, j+1:j+3], the fused reduction
+    of the next push, while the block is still in cache; it returns that
+    (j+2)-by-2 sum, with the bits of ``mv_trans_mv`` on those operands (the
+    same blocks, summed in the same order); without it, None.  It records
+    nothing: the caller ledgers the update per projection of its scheme,
+    and the reduction in the push that consumes it, so that a push that
+    raises before reducing records no reduction.
+    """
+    m = V.shape[0]
+    if K.shape != (2, j + 1):
+        raise DimensionError(f"sweep coefficients of shape (2, {j + 1}) expected, got {K.shape}")
+    out = part = None
+    r = _block_rows(j + 2, 2)
+    for i in range(0, m, r):
+        vt = V[i : i + r].T  # the block's columns, as rows
+        if d != 1.0:
+            a = vt[j + 1]
+            a /= d
+        wa = vt[j : j + 2]
+        # K [Q, w]^T: the orientation in which OpenBLAS's dgemm runs at the
+        # speed of one read of the block (tools/sweepbench.py)
+        wa -= K @ vt[: j + 1]
+        w = vt[j]
+        w /= alpha
+        if not ahead:
+            continue
+        if out is None:
+            out = vt[: j + 2] @ vt[j + 1 : j + 3].T
+            part = np.empty_like(out)
+        else:
+            np.matmul(vt[: j + 2], vt[j + 1 : j + 3].T, out=part)
+            out += part
     return out
 
 

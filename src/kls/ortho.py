@@ -16,7 +16,7 @@ that storage, which is append-only until the expansion restarts
 (``reset``).
 
 Every projection subtracts, Y <- Y - Q C (``kernels.mv_times_mat_add_mv``,
-or a delayed push's one pass over the basis in row blocks, ``_DelayedState``);
+or a delayed push's one sweep over the basis, ``kernels.mv_sweep``);
 the classical pass c = Q^T w, w <- w - Q c is ``cgs_pass`` wherever it runs;
 ``icwy-mgs`` projects through the one inverse compact WY factor (I + L)^-1.
 
@@ -37,15 +37,15 @@ from scipy.linalg import lapack
 
 from .dense import reflectors
 from .errors import BreakdownError, DimensionError, NonFiniteError, UnknownSchemeError
-from .kernels import dot, mv_times_mat_add_mv, mv_trans_mv, norm2
-from .ledger import MV_DOT, MV_TIMES_MAT_ADD_MV, SyncLedger
+from .kernels import dot, mv_sweep, mv_times_mat_add_mv, mv_trans_mv, norm2
+from .ledger import MV_DOT, MV_TIMES_MAT_ADD_MV, MV_TRANS_MV, SyncLedger
 
 _EPS = np.finfo(np.float64).eps
 
-#: byte budget of one row block over the j + 3 columns a delayed push's pass
-#: touches: of 256 KiB to 4 MiB, 1 MiB ran it fastest (2-core Xeon, OpenBLAS
-#: 0.3.31 on one thread).  qr_factorize copies A in blocks of the same size.
-_PASS_BYTES = 1 << 20
+#: byte budget of one row block of ``_load``'s copy, over A and its home.
+#: A row-major 100000x100 A took 14 ms to copy in blocks of 512 KiB or
+#: 1 MiB and 30 ms in one assignment (2-core Xeon, numpy 2.4 on one thread).
+_COPY_BYTES = 1 << 20
 
 
 def independent(alpha, scale, m):
@@ -78,11 +78,14 @@ class QrState:
     additionally hold one pending column.  Column storage is column-major so
     the left-looking panels are contiguous.  Column ``npushed`` is the home
     of the next pushed column: ``_take`` copies the column there, and the
-    basis vector it becomes is built in place.
+    basis vector it becomes is built in place.  ``pushes_start`` says that
+    an Arnoldi expansion pushes its start vector into the state, where the
+    other schemes adopt it normalized.
     """
 
     scheme_id = None
     delayed = False
+    pushes_start = False
 
     def __init__(self, m, n_cap, ledger=None):
         self.m = m
@@ -95,6 +98,8 @@ class QrState:
         # projection coefficients of the pending column, None when none is
         # held (always, for the immediate schemes)
         self.pending = None
+        self._loaded = 0  # leading columns _load put in their homes
+        self._held = None  # the next push's fused reduction, summed ahead
 
     @property
     def q(self):
@@ -167,8 +172,19 @@ class QrState:
         """Empty the state for a new factorization in the same storage; R
         is zeroed, as ``_record`` leaves the rows below the diagonal be."""
         self._r[:] = 0.0
-        self.ncols = self.npushed = 0
-        self.pending = None
+        self.ncols = self.npushed = self._loaded = 0
+        self.pending = self._held = None
+
+    def _load(self, A):
+        """Copy the columns of A into their homes, in row blocks that read
+        a row-major A in order.  The pushes that follow must push these
+        homes in order, until ``reset`` or ``adopt``: a delayed push then
+        sums the next push's reduction ahead (``_DelayedState``)."""
+        n = A.shape[1]
+        rows = max(1, _COPY_BYTES // (16 * max(n, 1)))  # A and its home
+        for i in range(0, self.m, rows):
+            self._q[i : i + rows, :n] = A[i : i + rows]
+        self._loaded = n
 
     def adopt(self, V):
         """Append the externally orthonormalized columns of the m-by-k
@@ -180,6 +196,7 @@ class QrState:
         self._r[range(j, j + k), range(j, j + k)] = 1.0
         self.ncols += k
         self.npushed += k
+        self._loaded = 0  # V overwrote the homes of loaded columns
 
     def push(self, a):
         raise NotImplementedError
@@ -287,29 +304,34 @@ class _DelayedState(QrState):
     that the gemm from j = 1 does not).  Each scheme supplies the pending
     column's norm and R column (``_emit_pending``, where a breakdown raises
     before [w, a] is touched) and the incoming coefficients (``_incoming``).
-    Then one pass over the basis in row blocks (``_pass``) corrects the
-    pending column by Q c if the scheme reorthogonalizes it
-    (``corrects_vector``, dcgs2), divides it by its norm and projects the
-    incoming column, so that the second read of a block of Q comes from
-    cache.  Each step is an unblocked push's BLAS call or division on a row
-    slice, with its bits if the block starts on a multiple of 4 rows:
-    OpenBLAS 0.3.31's Haswell dgemv_n rounds a tail of under 4 rows apart,
-    and starts on multiples of 1 or 2 rows changed tall QR results.  Blocks
-    start on multiples of 64 rows, a multiple of any row grouping up to 64,
-    which kept the bits in every case measured.  The first push into an
-    empty basis only stashes its column; a push into an adopted basis with
-    nothing pending primes with one projection.
+    Then one sweep over the basis (``_pass``, ``kernels.mv_sweep``)
+    corrects the pending column by Q c if the scheme reorthogonalizes it
+    (``corrects_vector``, dcgs2), divides it by its norm alpha and projects
+    the incoming column, all in one product per row block: with t =
+    s[j] / alpha, a - [Q, (w - Q c) / alpha] s = a - Q (s[:j] - c t) - w t,
+    so the block of [Q, w] is read once, before w is divided.  The first
+    push into an empty basis only stashes its column; a push into an
+    adopted basis with nothing pending primes with one projection.
+
+    After ``_load`` (``qr_factorize``) the next pushed column already sits
+    in its home, so the sweep also sums the next push's fused reduction
+    over the same row blocks, while each is in cache, with the bits of
+    ``mv_trans_mv``; the next push takes that result (``_held``) instead of
+    reducing, and records the reduction it stands for.  An Arnoldi image
+    cannot be summed ahead: it is the image of the vector the sweep
+    finishes.
 
     With ``pending_image=True`` the incoming column is the image of the
     unnormalized pending column rather than of its normalized form, as in
     an Arnoldi expansion: the push divides it and its coefficients by the
     emitted norm (a QR push divides by 1.0, which is exact).  It also
-    carries dcgs2's Hessenberg correction: after the pass, which projects
-    with them, the coefficients T become K = T - H c / alpha, H being R
-    without its first column.
+    carries dcgs2's Hessenberg correction: after the sweep, which projects
+    with them, the coefficients s become s - H c / alpha, H being R without
+    its first column.
     """
 
     delayed = True
+    pushes_start = True
     corrects_vector = False  # emits the pending column w as (w - Q c) / alpha
 
     def _stash(self, coeffs, scale):
@@ -332,16 +354,20 @@ class _DelayedState(QrState):
                 mv_times_mat_add_mv(a[:, None], self.q, s[:, None], ledger=self.ledger)
             self._stash(s, scale)
             return
-        wa = self._q[:, j : j + 2]  # [w, a]: the pending column and a, side by side
-        if not j:
-            wa = np.ascontiguousarray(wa)
-        g = mv_trans_mv(self._q[:, : j + 1], wa, ledger=self.ledger)
+        g, self._held = self._held, None
+        if g is None:
+            wa = self._q[:, j : j + 2]  # [w, a]: the pending column and a, side by side
+            if not j:
+                wa = np.ascontiguousarray(wa)
+            g = mv_trans_mv(self._q[:, : j + 1], wa, ledger=self.ledger)
+        else:  # summed ahead by the last sweep: its reduction is this push's
+            self.ledger.record(MV_TRANS_MV, flops=2 * self.m * (j + 1) * 2)
         c, s = g[:j, 0], g[:j, 1]
         alpha = self._emit_pending(c, float(g[j, 0]))
         d = alpha if pending_image else 1.0
         coeffs = self._incoming(c, s, float(g[j, 1]), alpha, d)
         correction = c if self.corrects_vector else None
-        self._pass(j, alpha, d, coeffs, correction)
+        self._held = self._pass(j, alpha, d, coeffs, correction)
         if pending_image:
             self.ledger.add_flops(self.m)  # the image's division by alpha
             if correction is not None:  # the Hessenberg correction
@@ -351,20 +377,19 @@ class _DelayedState(QrState):
 
     def _pass(self, j, alpha, d, coeffs, c):
         """w <- (w - Q c) / alpha (w <- w / alpha with c None), then
-        a <- a / d - [Q, w] coeffs, by row blocks; ledgered per projection."""
-        w, a = self._q[:, j : j + 1], self._q[:, j + 1 : j + 2]
+        a <- a / d - [Q, w] coeffs, as one sweep over the basis; ledgered
+        per projection.  Returns the next push's fused reduction when the
+        next column is loaded (``_load``), else None."""
+        t = coeffs[j] / alpha
+        k = np.zeros((2, j + 1))
+        k[1, :j], k[1, j] = coeffs[:j], t
         if c is not None:
+            k[0, :j] = c
+            k[1, :j] -= c * t
             self.ledger.record(MV_TIMES_MAT_ADD_MV, flops=2 * self.m * j)
         self.ledger.record(MV_TIMES_MAT_ADD_MV, flops=2 * self.m * (j + 1))
-        rows = max(64, _PASS_BYTES // (8 * (j + 3)) // 64 * 64)
-        for i in range(0, self.m, rows):
-            b = slice(i, i + rows)
-            if c is not None and j:
-                w[b] -= self._q[b, :j] @ c[:, None]
-            w[b] /= alpha
-            if d != 1.0:
-                a[b] /= d
-            a[b] -= self._q[b, : j + 1] @ coeffs[:, None]
+        ahead = j + 3 <= self._loaded  # column j + 2 is in its home
+        return mv_sweep(self._q, j, k, alpha, d, ahead)
 
     def _emit_held(self, alpha):
         """Record the pending column as held, with norm alpha, undivided."""
@@ -377,6 +402,7 @@ class _DelayedState(QrState):
 
     def flush(self):
         """Normalize the pending column as it stands: one reduction."""
+        self._held = None
         if self.pending is not None:
             w = self._q[:, self.ncols]
             w /= self._emit_held(norm2(w, ledger=self.ledger))
@@ -501,6 +527,7 @@ class HouseholderState(QrState):
     """
 
     scheme_id = "householder"
+    pushes_start = True
 
     def __init__(self, m, n_cap, ledger=None):
         super().__init__(m, n_cap, ledger)
@@ -573,18 +600,20 @@ def qr_factorize(A, scheme, ledger=None):
     """Factorize a full matrix with the chosen scheme; returns (Q, R).
 
     A is copied into the basis storage in row blocks, which read a
-    row-major A in order, and each column is pushed from its home there
-    (``_take``'s copy is then a no-op): every layout of A gives the same
-    bits.  Q and R are the views ``QrState.finalize`` returns.  The LAPACK
-    QR ``dense.householder_qr`` is the tests' reference, not a scheme.
+    row-major A in order (``_load``), and each column is pushed from its
+    home there (``_take``'s copy is then a no-op): every layout of A gives
+    the same bits.  With every column in storage before the first push, a
+    delayed push's sweep also sums the next push's fused reduction, which
+    then needs no second read of the basis; the bits and the ledger are
+    those of pushing the columns one by one.  Q and R are the views
+    ``QrState.finalize`` returns.  The LAPACK QR ``dense.householder_qr``
+    is the tests' reference, not a scheme.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] < A.shape[1]:
         raise DimensionError(f"tall matrix expected, got {A.shape}")
-    (m, n), state = A.shape, make_state(scheme, *A.shape, ledger=ledger)
-    rows = max(1, _PASS_BYTES // (16 * max(n, 1)))  # A and its home
-    for i in range(0, m, rows):
-        state._q[i : i + rows] = A[i : i + rows]
-    for j in range(n):
+    state = make_state(scheme, *A.shape, ledger=ledger)
+    state._load(A)
+    for j in range(A.shape[1]):
         state.push(state._q[:, j])
     return state.finalize()

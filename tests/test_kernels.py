@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kls.errors import DimensionError
-from kls.kernels import _block_rows, dot, mv_times_mat_add_mv, mv_trans_mv, norm2
+from kls.kernels import _block_rows, dot, mv_sweep, mv_times_mat_add_mv, mv_trans_mv, norm2
 from kls.ledger import MV_DOT, MV_TIMES_MAT_ADD_MV, MV_TRANS_MV, SyncLedger
 
 
@@ -147,6 +147,28 @@ def test_mv_trans_mv_exact_within_one_block(rng, k, l):
 def test_mv_trans_mv_shape_error():
     with pytest.raises(DimensionError):
         mv_trans_mv(np.ones((5, 2)), np.ones((6, 2)))
+
+
+@pytest.mark.parametrize("ahead", [False, True])
+@pytest.mark.parametrize("j", [0, 6])
+def test_mv_sweep_matches_formula_and_sums_ahead(rng, j, ahead):
+    # a ragged tail of rows past several blocks; d != 1 as for an Arnoldi image
+    m = 3 * _block_rows(j + 2, 2) + 5
+    v = np.asfortranarray(rng.standard_normal((m, j + 3)))
+    k, alpha, d = rng.standard_normal((2, j + 1)), 1.7, 0.6
+    want = v.copy(order="F")
+    want[:, j + 1] /= d
+    want[:, j : j + 2] -= want[:, : j + 1] @ k.T
+    want[:, j] /= alpha
+    out = mv_sweep(v, j, k, alpha, d, ahead)
+    # the update's rounding follows the product's orientation, the sum's not
+    assert np.allclose(v, want, rtol=1e-14, atol=1e-14)
+    if ahead:
+        assert np.array_equal(out, mv_trans_mv(v[:, : j + 2], v[:, j + 1 : j + 3]))
+    else:
+        assert out is None
+    with pytest.raises(DimensionError):
+        mv_sweep(v, j, k[:, :j], alpha)
 
 
 def test_mv_times_mat_add_mv_projection():

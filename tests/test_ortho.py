@@ -180,7 +180,7 @@ def _bits(x):
 def test_qr_independent_of_input_layout(scheme, shape, rng):
     # A is copied into the basis before any arithmetic, so the input's
     # strides cannot change the rounding; the tall case spans several row
-    # blocks of that copy and of the delayed pushes' pass
+    # blocks of that copy and of the delayed pushes' sweep
     big = rng.standard_normal(shape)
     strided = big[:, ::2]
     runs = []
@@ -396,30 +396,32 @@ def test_dcgs2_fused_reduction_reads_the_basis_in_place(case, rng):
         assert np.array_equal(out, row_major), j
 
 
-def _unblocked_pass(self, j, alpha, d, coeffs, c):
-    """A delayed push's vector work as whole columns: the correction and
-    the projection as two update kernel calls, each with its division."""
-    from kls.kernels import mv_times_mat_add_mv
+def _whole_column_sweep(V, j, K, alpha, d=1.0, ahead=False):
+    """A delayed push's sweep on whole columns: the same one-product update,
+    then the next push's fused reduction by ``mv_trans_mv`` itself."""
+    from kls.kernels import mv_trans_mv
 
-    if c is not None:
-        mv_times_mat_add_mv(self._q[:, j : j + 1], self._q[:, :j], c[:, None], ledger=self.ledger)
-    self._q[:, j] /= alpha
     if d != 1.0:
-        self._q[:, j + 1] /= d
-    s = coeffs[:, None]
-    mv_times_mat_add_mv(self._q[:, j + 1 : j + 2], self._q[:, : j + 1], s, ledger=self.ledger)
+        V[:, j + 1] /= d
+    V[:, j : j + 2] -= (K @ V[:, : j + 1].T).T
+    V[:, j] /= alpha
+    if ahead:
+        return mv_trans_mv(V[:, : j + 2], V[:, j + 1 : j + 3])
+    return None
 
 
 @pytest.mark.parametrize(
     "case", [f"qr-{s}" for s in DELAYED_SCHEMES] + ["arnoldi-dcgs2", "gmres-dcgs2"]
 )
 def test_delayed_pass_matches_unblocked_updates(case, rng):
-    # the row-blocked pass of a delayed push gives the bits and the ledger of
-    # the two whole-column updates it replaces, with block boundaries inside
-    # the columns: a ragged QR panel, and Arnoldi images divided by d != 1
+    # the row-blocked sweep of a delayed push gives the bits and the ledger
+    # of its update on whole columns and, in QR, of mv_trans_mv for the
+    # reduction it sums ahead, with block boundaries inside the columns: a
+    # ragged QR panel, and Arnoldi images divided by d != 1
     import kls.ortho
     from kls.arnoldi import arnoldi
     from kls.gmres import GmresConfig, gmres_solve
+    from kls.kernels import _block_rows
     from kls.problems import CsrOperator, ManteuffelSpec, manteuffel_build
 
     kind, scheme = case.split("-", 1)
@@ -444,14 +446,92 @@ def test_delayed_pass_matches_unblocked_updates(case, rng):
                 exp.step()
             return exp.finalize()
 
-    assert m > 2 * kls.ortho._PASS_BYTES // (8 * (top + 3))  # three or more blocks
+    assert m > 2 * _block_rows(top + 2, 2) and m % 64  # three or more blocks, a ragged tail
     runs = []
-    for pass_ in (kls.ortho._DelayedState._pass, _unblocked_pass):
+    for sweep in (kls.ortho.mv_sweep, _whole_column_sweep):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kls.ortho._DelayedState, "_pass", pass_)
+            mp.setattr(kls.ortho, "mv_sweep", sweep)
             led = SyncLedger()
             out = run(led)
         runs.append(([_bits(x) for x in out], led.reductions, led.flops, led.kernel_counts))
+    assert runs[0] == runs[1]
+
+
+def _pushed_column_by_column(a, scheme, ledger):
+    """The QR of a by pushes of its columns into a fresh state, which copy
+    each column in and reduce at every push: no reduction is summed ahead."""
+    state = make_state(scheme, *a.shape, ledger=ledger)
+    for j in range(a.shape[1]):
+        state.push(a[:, j])
+    return state.finalize()
+
+
+@pytest.mark.parametrize("shape", [(30001, 12), (20000, 40), (50, 50)], ids=str)
+@pytest.mark.parametrize("scheme", DELAYED_SCHEMES)
+def test_qr_factorize_look_ahead_matches_column_pushes(scheme, shape, rng):
+    # qr_factorize loads A, so each delayed push's sweep also sums the next
+    # push's fused reduction; that gives the bits and ledger of pushing the
+    # columns one by one, on panels of several row blocks and on a square one
+    from kls.kernels import _block_rows
+
+    a = rng.standard_normal(shape)
+    if shape[0] > shape[1]:
+        assert shape[0] > 2 * _block_rows(shape[1] + 1, 2)
+    led, led_ref = SyncLedger(), SyncLedger()
+    q, r = qr_factorize(a, scheme, ledger=led)
+    q_ref, r_ref = _pushed_column_by_column(a, scheme, led_ref)
+    assert (_bits(q), _bits(r)) == (_bits(q_ref), _bits(r_ref))
+    assert (led.reductions, led.flops, led.kernel_counts) == (
+        led_ref.reductions, led_ref.flops, led_ref.kernel_counts
+    )
+
+
+@pytest.mark.parametrize("col", [2, 7])
+@pytest.mark.parametrize("scheme", DELAYED_SCHEMES)
+def test_non_finite_column_summed_ahead_raises_at_its_step(scheme, col, rng):
+    # the sweep of push col - 1 sums column col into the held reduction, NaN
+    # and all; the push of column col still raises at its own step, with the
+    # ledger of a push of the columns one by one: no reduction for it
+    a = rng.standard_normal((30001, 10))
+    a[-5, col] = np.nan
+    raised = []
+    for run in (qr_factorize, _pushed_column_by_column):
+        led = SyncLedger()
+        with pytest.raises(NonFiniteError) as err:
+            run(a, scheme, ledger=led)
+        raised.append((err.value.scheme, err.value.step, led.reductions, led.flops,
+                       led.kernel_counts))
+    assert raised[0] == raised[1] and raised[0][:2] == (scheme, col)
+
+
+@pytest.mark.parametrize("then", ["reset", "reset-adopt", "flush-adopt"])
+@pytest.mark.parametrize("scheme", DELAYED_SCHEMES)
+def test_reset_and_adopt_drop_the_reduction_summed_ahead(scheme, then, rng):
+    # after pushes that sum ahead, reset, adopt and flush leave nothing that
+    # changes the bits: what follows matches a state that never summed ahead
+    m = 5000
+    a, b = rng.standard_normal((m, 8)), rng.standard_normal((m, 4))
+    v = np.linalg.qr(rng.standard_normal((m, 2)))[0]
+    runs = []
+    for load in (True, False):
+        state = make_state(scheme, m, 10)  # loaded homes lie past every push
+        if load:
+            state._load(a)
+        for j in range(3):
+            state.push(a[:, j])
+        assert (state._held is not None) == load  # the fourth push's reduction
+        if then.startswith("reset"):
+            state.reset()
+        else:
+            state.flush()
+        if then.endswith("adopt"):
+            state.adopt(v)
+        before = state.ledger.reductions, state.ledger.flops
+        for j in range(4):
+            state.push(b[:, j])
+        q, r = state.finalize()
+        after = state.ledger.reductions, state.ledger.flops
+        runs.append((_bits(q), _bits(r), after[0] - before[0], after[1] - before[1]))
     assert runs[0] == runs[1]
 
 
