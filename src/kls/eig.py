@@ -185,13 +185,10 @@ def krylov_schur_run(op, cfg, seed, ledger=None, exact=None):
             resid = np.abs(b_row[nlock:] @ subform.z @ schur_eigenvectors(subform.t)[1])
             conv = resid < cfg.tol
 
-            # keep every converged column plus the lowest-residual surviving
-            # blocks, leaving one column of expansion headroom
+            # keep every converged column (all, after a happy breakdown) plus
+            # the lowest-residual surviving blocks, leaving one column of headroom
             conv_cols = int(conv.sum())
-            if happy:
-                unconv_budget = na
-            else:
-                unconv_budget = max(min(cfg.max_basis // 2, k - 1 - nlock - conv_cols), 0)
+            unconv_budget = max(min(cfg.max_basis // 2, k - 1 - nlock - conv_cols), 0)
             sel = conv.copy()
             kept_unconv = 0
             starts, sizes = np.array(subform.blocks()).T

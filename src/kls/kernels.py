@@ -30,8 +30,8 @@ from .errors import DimensionError
 #: is also the block of ``mv_sweep``.  On a 2-core Xeon (2 MiB L2 per core,
 #: OpenBLAS 0.3.31 on one thread) blocks of 512 KiB to 1 MiB ran a
 #: 100000x51 by 100000x2 product in 2.3-2.4 ms, 256 KiB in 2.6 ms, and the
-#: unblocked dgemm in 6.7 ms; ``tools/sweepbench.py`` times the sweep over
-#: budgets of 256 KiB to 2 MiB.
+#: unblocked dgemm in 6.7 ms.  ``tools/sweepbench.py`` sets it to 256 KiB to
+#: 2 MiB in its own process and times ``mv_sweep`` and ``mv_trans_mv`` at each.
 _BLOCK_BYTES = 1 << 19
 
 

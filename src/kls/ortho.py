@@ -27,15 +27,14 @@ leaves its attempted coefficients in its R column, over a zero diagonal.
 
 Scheme ids: cgs, cgs2, cgs2-lagged, mgs, icwy-mgs, dcgs2, dcgs2-hrt,
 householder, each with a cost model in ``ledger``.  ``householder`` is
-Walker's Householder orthogonalization (``HouseholderState``); LAPACK's
-right-looking ``dense.householder_qr`` is the tests' reference, not a scheme.
+Walker's Householder orthogonalization (``HouseholderState``), on LAPACK's
+reflectors; ``dense.householder_qr`` is the tests' reference, not a scheme.
 """
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .dense import reflectors
 from .errors import BreakdownError, DimensionError, NonFiniteError, UnknownSchemeError
 from .kernels import dot, mv_sweep, mv_times_mat_add_mv, mv_trans_mv, norm2
 from .ledger import MV_DOT, MV_TIMES_MAT_ADD_MV, MV_TRANS_MV, SyncLedger
@@ -84,7 +83,6 @@ class QrState:
     """
 
     scheme_id = None
-    delayed = False
     pushes_start = False
 
     def __init__(self, m, n_cap, ledger=None):
@@ -330,7 +328,6 @@ class _DelayedState(QrState):
     its first column.
     """
 
-    delayed = True
     pushes_start = True
     corrects_vector = False  # emits the pending column w as (w - Q c) / alpha
 
@@ -518,12 +515,14 @@ class HouseholderState(QrState):
     """Walker's Householder orthogonalization through accumulated reflectors
     (Walker, SISC 1988).
 
-    The reflectors are kept in LAPACK's compact form, as ``dense.reflectors``
-    returns them: push j applies P_{j-1} ... P_0 to the column, makes P_j
-    with ``dgeqrfp`` on the tail, and forms q_j = P_0 ... P_j e_j with
-    ``dormqr``.  The ledger is charged Walker's counts from the formula: one
-    dot and one update per applied reflector, identity ones included, and
-    one dot (the tail norm) per new reflector: 2(j + 1) reductions at push j.
+    The reflectors are kept in LAPACK's compact ``(a, tau)`` form: push j
+    applies P_{j-1} ... P_0 to the column, makes P_j with ``dgeqrfp`` on the
+    tail, and forms q_j = P_0 ... P_j e_j with ``dormqr``; ``adopt``
+    re-encodes a basis with one ``dgeqrfp``.  The ledger is charged static
+    formulas, identity reflectors included: one dot and one update per
+    applied reflector and one dot (the tail norm) per new one, 2(j + 1)
+    reductions at push j; an adopted column costs what it does in the
+    right-looking loop, a tail norm, one fused product and one update.
     """
 
     scheme_id = "householder"
@@ -540,7 +539,11 @@ class HouseholderState(QrState):
         if self.ncols:
             raise DimensionError("householder adopts into an empty state only")
         k = V.shape[1]
-        self._refl[:, :k], self._tau[:k] = reflectors(V, self.ledger)
+        self._refl[:, :k], self._tau[:k], _ = lapack.dgeqrfp(V)
+        for j in range(k):  # the right-looking loop's tail norm, product and update
+            self.ledger.record(MV_DOT, flops=2 * (self.m - j - 1))
+            self.ledger.record(MV_TRANS_MV, flops=2 * (self.m - j) * (k - j))
+            self.ledger.record(MV_TIMES_MAT_ADD_MV, flops=2 * (self.m - j) * (k - j))
         super().adopt(V)
 
     def _apply(self, z, r, trans):

@@ -12,15 +12,17 @@ from kls.ledger import (
 )
 from kls.metrics import loss_of_orthogonality, representation_error_qr
 from kls.ortho import (
+    _STATES,
     SCHEME_IDS,
     Dcgs2State,
+    _DelayedState,
     make_state,
     qr_factorize,
 )
 from kls.problems import synthetic_kappa
 
 #: the schemes whose push states hold a pending column until finalize
-DELAYED_SCHEMES = tuple(s for s in SCHEME_IDS if make_state(s, 1, 1).delayed)
+DELAYED_SCHEMES = tuple(s for s in SCHEME_IDS if issubclass(_STATES[s], _DelayedState))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +124,22 @@ def test_householder_push_state_matches_lapack_reference(rng):
     assert np.array_equal(fresh.q, q)
     with pytest.raises(DimensionError):  # the reflectors encode a whole basis only
         fresh.adopt(q[:, :1])
+
+
+def test_householder_adopt_charges_identity_reflectors():
+    # adopting re-encodes the basis as reflectors, charged per column a tail
+    # norm, a fused product and an update, whether or not the reflector is
+    # the identity: I (tau = 0), -I (tau = 2) and a random basis cost alike
+    from kls.dense import random_orthogonal
+
+    charges = set()
+    for v in (np.eye(50)[:, :5], -np.eye(50)[:, :5], random_orthogonal(50, 5, 1)):
+        state = make_state("householder", 50, 6)
+        state.adopt(v)
+        led = state.ledger
+        charges.add((led.reductions, led.flops, tuple(sorted(led.kernel_counts.items()))))
+        assert led.reductions == 10
+    assert len(charges) == 1
 
 
 @pytest.mark.parametrize("shape", [(50, 50), (3000, 30)], ids=["square", "tall"])

@@ -1,34 +1,34 @@
-"""Time one delayed push's vector work per column, the old way and the new.
+"""Time a delayed push's vector work per column, as ``kernels`` runs it.
 
     python3 tools/sweepbench.py
 
-For a push at pending index j in ``COLS`` on a basis of m rows in ``ROWS``
-it times, per row-block byte budget in ``KIB``:
+For a push at pending index j in ``COLS`` on a basis V of m rows in
+``ROWS`` it times, per row-block byte budget in ``KIB`` (set as
+``kernels._BLOCK_BYTES`` in this process for the run, then restored):
 
 - ``read``: one plain read of the j + 1 columns [Q, w] (a gemv Q^T x), the
   floor that any sweep over them pays;
-- ``old``: the fused reduction [Q, w]^T [w, a], summed over row blocks,
-  then a second pass over row blocks with two gemv updates, w -= Q c and
-  a -= [Q, w] s, and the division of w: the two sweeps that
-  ``kernels.mv_sweep`` replaced;
-- ``sweep``: one sweep over row blocks that updates [w, a] with one
-  product, (K [Q, w]^T)^T, divides w and adds the block's partial sum of
-  the next push's reduction [Q, w']^T [w', a''], as ``kernels.mv_sweep``
-  does with ``ahead``.
+- ``qr``: ``kernels.mv_sweep`` with ``ahead``, a QR push's one sweep: the
+  update of [w, a], the division of w and the next push's fused reduction;
+- ``arnoldi``: ``kernels.mv_trans_mv`` of [Q, w]^T [w, a], then
+  ``kernels.mv_sweep`` without ``ahead``: an Arnoldi push, whose next
+  column is an image that cannot be summed ahead.
 
-Both sides do one reduction's and one update's worth of work per column.
-Blocks are the budget's rows over the operand columns, rounded down to a
-multiple of 64 (at least 64), the rule of ``kernels._block_rows``.  Each
-time is the best of ``REPEATS`` runs, in ms; ``ratio`` is sweep / old.
-The numbers rounded by the updates stay finite: alpha = d = 1 and K is
-tiny.  Pin the BLAS threads (OPENBLAS_NUM_THREADS=1) to compare with the
-benchmark, which runs on one.  Standard library and numpy only; the basis
-of the largest case takes m * (max j + 3) * 8 bytes.
+Each time is the best of ``REPEATS`` runs, in ms; ``qr/rd`` and ``arn/rd``
+are ratios to ``read``.  The updates stay finite: alpha = d = 1 and the
+coefficients are tiny.  Pin the BLAS threads (OPENBLAS_NUM_THREADS=1), as
+the benchmark does.  kls is imported from this checkout's ``src``; the
+largest basis takes m * (max j + 3) * 8 bytes.
 """
 
+import os
+import sys
 import time
 
 import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+from kls import kernels  # noqa: E402
 
 ROWS = (100000, 40000)
 COLS = (10, 50, 90)  # pending indices j
@@ -36,58 +36,10 @@ KIB = (256, 512, 1024, 2048)  # row-block byte budgets
 REPEATS = 7
 
 
-def block_rows(budget, k, l):
-    return max(64, budget // (8 * (k + l)) // 64 * 64)
-
-
-def reduce_blocks(B, X, r):
-    """B^T X summed over row blocks of r rows, as ``kernels.mv_trans_mv``."""
-    out = B[:r].T @ X[:r]
-    part = np.empty_like(out)
-    for i in range(r, B.shape[0], r):
-        np.matmul(B[i : i + r].T, X[i : i + r], out=part)
-        out += part
-    return out
-
-
-def read(V, j):
-    return V[:, : j + 1].T @ np.ones(V.shape[0])
-
-
-def old(V, j, budget, c, s):
-    """The reduction, then the two-gemv pass over its own row blocks."""
-    m, r = V.shape[0], block_rows(budget, j + 1, 2)
-    reduce_blocks(V[:, : j + 1], V[:, j : j + 2], r)
-    w, a = V[:, j : j + 1], V[:, j + 1 : j + 2]
-    for i in range(0, m, r):
-        b = slice(i, i + r)
-        w[b] -= V[b, :j] @ c[:, None]
-        w[b] /= 1.0
-        a[b] -= V[b, : j + 1] @ s[:, None]
-
-
-def sweep(V, j, budget, K):
-    """One sweep: the one-product update and the next reduction."""
-    m = V.shape[0]
-    r = block_rows(budget, j + 2, 2)
-    out = part = None
-    for i in range(0, m, r):
-        b = slice(i, i + r)
-        V[b, j : j + 2] -= (K @ V[b, : j + 1].T).T
-        V[b, j] /= 1.0
-        if out is None:
-            out = V[b, : j + 2].T @ V[b, j + 1 : j + 3]
-            part = np.empty_like(out)
-        else:
-            np.matmul(V[b, : j + 2].T, V[b, j + 1 : j + 3], out=part)
-            out += part
-    return out
-
-
-def best_ms(fn, repeats):
+def best_ms(fn):
     fn()  # warm the caches and the allocator
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -96,23 +48,31 @@ def best_ms(fn, repeats):
 
 def main():
     rng = np.random.default_rng(0)
-    print(f"# numpy {np.__version__}; best of {REPEATS}, ms per column")
-    print(f"{'m':>7} {'j':>3} {'KiB':>5} {'read':>7} {'old':>7} {'sweep':>7} {'ratio':>6}")
-    for m in ROWS:
-        V = np.asfortranarray(rng.standard_normal((m, max(COLS) + 3)))
-        for j in COLS:
-            c = 1e-12 * rng.standard_normal(j)
-            s = 1e-12 * rng.standard_normal(j + 1)
-            K = 1e-12 * rng.standard_normal((2, j + 1))
-            for kib in KIB:
-                budget = kib << 10
-                t_read = best_ms(lambda: read(V, j), REPEATS)
-                t_old = best_ms(lambda: old(V, j, budget, c, s), REPEATS)
-                t_new = best_ms(lambda: sweep(V, j, budget, K), REPEATS)
-                print(
-                    f"{m:>7} {j:>3} {kib:>5} {t_read:>7.3f} {t_old:>7.3f} "
-                    f"{t_new:>7.3f} {t_new / t_old:>6.2f}"
-                )
+    print(f"# numpy {np.__version__}, OPENBLAS_NUM_THREADS="
+          f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}; best of {REPEATS}, ms per column")
+    print(f"{'m':>7} {'j':>3} {'KiB':>5} {'read':>7} {'qr':>7} {'arnoldi':>7} "
+          f"{'qr/rd':>6} {'arn/rd':>6}")
+    saved = kernels._BLOCK_BYTES
+    try:
+        for m in ROWS:
+            V = np.asfortranarray(rng.standard_normal((m, max(COLS) + 3)))
+            ones = np.ones(m)
+            for j in COLS:
+                K = 1e-12 * rng.standard_normal((2, j + 1))
+
+                def arnoldi():
+                    kernels.mv_trans_mv(V[:, : j + 1], V[:, j : j + 2])
+                    kernels.mv_sweep(V, j, K, 1.0)
+
+                for kib in KIB:
+                    kernels._BLOCK_BYTES = kib << 10
+                    t_read = best_ms(lambda: V[:, : j + 1].T @ ones)
+                    t_qr = best_ms(lambda: kernels.mv_sweep(V, j, K, 1.0, ahead=True))
+                    t_arn = best_ms(arnoldi)
+                    print(f"{m:>7} {j:>3} {kib:>5} {t_read:>7.3f} {t_qr:>7.3f} {t_arn:>7.3f} "
+                          f"{t_qr / t_read:>6.2f} {t_arn / t_read:>6.2f}")
+    finally:
+        kernels._BLOCK_BYTES = saved
     return 0
 
 
