@@ -24,19 +24,20 @@ from .errors import (
     UnknownSchemeError,
 )
 from .gmres import GmresConfig, GmresResult, backward_error, gmres_solve
-from .ledger import (
-    CostPrediction,
-    SyncLedger,
-    assert_matches,
-    per_iteration_synchs,
-    predicted_counts,
-)
+from .ledger import SyncLedger, assert_matches
 from .metrics import (
     loss_of_orthogonality,
     representation_error_arnoldi,
     representation_error_qr,
 )
-from .ortho import SCHEME_IDS, make_state, qr_factorize
+from .ortho import (
+    SCHEME_IDS,
+    CostPrediction,
+    make_state,
+    per_iteration_synchs,
+    predicted_counts,
+    qr_factorize,
+)
 from .problems import (
     CsrMatrix,
     CsrOperator,

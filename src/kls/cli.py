@@ -5,27 +5,29 @@ value).  ``main`` resolves the default schemes; the subcommand's worker
 turns one point into rows of fields; ``_sweep`` runs the points, on
 ``--jobs`` threads for any subcommand, writes the CSV and derives the exit
 code from the row statuses.  Every CSV starts with ``#`` comment lines
-carrying the library version and the full configuration, so a data file
-regenerates bit-for-bit from its own header, for a fixed BLAS thread count.
+carrying the library version, the BLAS setting and the full configuration,
+so a data file regenerates bit-for-bit from its own header.
 Exit codes: 0 success, 2 configuration error (a malformed or unreadable
 ``--mtx`` file included), 3 assertion failure (a sync-count ``FAIL`` or an
 ``over-multiplicity`` row), 4 a numerical failure halted a run.
 """
 
 import argparse
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .arnoldi import arnoldi
 from .eig import KrylovSchurConfig, krylov_schur_run
 from .errors import BreakdownError, IterationLimitError, NonFiniteError
 from .gmres import GmresConfig, gmres_solve
-from .ledger import SyncLedger, assert_matches, predicted_counts
+from .ledger import SyncLedger, assert_matches
 from .metrics import loss_of_orthogonality, representation_error_arnoldi, representation_error_qr
-from .ortho import SCHEME_IDS, qr_factorize
+from .ortho import SCHEME_IDS, predicted_counts, qr_factorize
 from .problems import (
     CsrOperator,
     ManteuffelSpec,
@@ -83,14 +85,19 @@ def _sweep(args, header_pairs, columns, points, worker):
     The points run on a pool of ``--jobs`` threads (one for ``--jobs 1``).
     ``worker`` returns the rows of one point, each a tuple of fields whose
     last is the row status; the rows keep the order of ``points``.  The
-    header records ``args.scheme``, ``header_pairs`` and ``args.seed``.  The
-    exit code is 4 when a numerical failure halted a run, 3 on an
-    over-multiplicity or FAIL row, else 0.
+    header records the numpy, scipy and BLAS versions, OPENBLAS_NUM_THREADS
+    (``unset`` when it is), ``args.scheme``, ``header_pairs`` and
+    ``args.seed``.  The exit code is 4 when a numerical failure halted a
+    run, 3 on an over-multiplicity or FAIL row, else 0.
     """
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         chunks = list(pool.map(worker, points))
     rows = [row for chunk in chunks for row in chunk]
-    pairs = [("schemes", "|".join(args.scheme)), *header_pairs, ("seed", args.seed)]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    pairs = [("numpy", np.__version__), ("scipy", scipy.__version__),
+             ("blas", f"{blas.get('name')} {blas.get('version')}"),
+             ("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "unset")),
+             ("schemes", "|".join(args.scheme)), *header_pairs, ("seed", args.seed)]
     lines = [f"# kls-bench {__version__}", f"# subcommand: {args.command}"]
     lines += [f"# {key}: {val}" for key, val in pairs]
     lines.append(columns)
@@ -268,13 +275,13 @@ def _cmd_sync_count(args):
         led = SyncLedger()
         qr_factorize(a, scheme, ledger=led)
         rep = assert_matches(led, predicted_counts(scheme, args.cols))
-        return [(scheme, args.cols, args.rows, rep.measured, rep.predicted, rep.slack,
-                 rep.delta, "pass" if rep.passed else "FAIL")]
+        return [(scheme, args.cols, args.rows, rep.measured, rep.predicted, rep.delta,
+                 "pass" if rep.passed else "FAIL")]
 
     return _sweep(
         args,
         [("rows", args.rows), ("cols", args.cols)],
-        "scheme,n,m,measured,predicted,slack,delta,status",
+        "scheme,n,m,measured,predicted,delta,status",
         args.scheme,
         worker,
     )

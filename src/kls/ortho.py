@@ -26,10 +26,13 @@ a view of the state's R.  A dependent column raises ``BreakdownError`` and
 leaves its attempted coefficients in its R column, over a zero diagonal.
 
 Scheme ids: cgs, cgs2, cgs2-lagged, mgs, icwy-mgs, dcgs2, dcgs2-hrt,
-householder, each with a cost model in ``ledger``.  ``householder`` is
+householder, each declaring on its class the cost model that
+``predicted_counts`` reads through the registry.  ``householder`` is
 Walker's Householder orthogonalization (``HouseholderState``), on LAPACK's
 reflectors; ``dense.householder_qr`` is the tests' reference, not a scheme.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -84,6 +87,9 @@ class QrState:
 
     scheme_id = None
     pushes_start = False
+    column_synchs = None  # j -> the reductions at column j (1-based), steady state
+    flop_lead = None  # the coefficient of (m/p) n^2 in the flop total
+    flush_synchs = 0  # the reductions a flush adds beyond the per-column rule
 
     def __init__(self, m, n_cap, ledger=None):
         self.m = m
@@ -142,17 +148,21 @@ class QrState:
                 column=self.ncols,
             )
 
-    def _pythagorean_norm(self, beta, c, column):
-        """Norm of w - Q c from beta = w.w and c = Q^T w."""
-        alpha_sq = beta - float(c @ c)
+    def _pythagorean_norm(self, coeffs, beta, c, scale):
+        """Norm alpha of w - Q c from beta = w.w and c = Q^T w, guarded: in an
+        exhausted Krylov space beta is noise that clears the guard, while
+        alpha^2 = beta - c.c is below the subtraction's rounding."""
+        alpha_sq = float(beta) - float(c @ c)  # Python floats: inf - inf is nan, unwarned
         self.ledger.add_flops(2 * len(c))
+        alpha = float(np.sqrt(max(alpha_sq, 0.0)))
+        self._guard(coeffs, alpha, scale)
         if not alpha_sq > beta * _EPS * _EPS:
             raise BreakdownError(
-                f"cancellation in the lagged norm of column {column}",
+                f"cancellation in the lagged norm of column {self.ncols}",
                 kind="pythagorean",
-                column=column,
+                column=self.ncols,
             )
-        return float(np.sqrt(alpha_sq))
+        return alpha
 
     def _emit(self, coeffs, alpha):
         """Normalize basis column ncols, built in place, by alpha; record it."""
@@ -218,6 +228,7 @@ class CgsState(QrState):
     """Classical Gram-Schmidt, single projection pass: 2 reductions."""
 
     scheme_id = "cgs"
+    column_synchs, flop_lead = staticmethod(lambda j: 2), 2.0
 
     def push(self, a):
         u, scale = self._take(a)
@@ -232,6 +243,7 @@ class Cgs2State(QrState):
     """CGS with full reorthogonalization: 3 reductions per column."""
 
     scheme_id = "cgs2"
+    column_synchs, flop_lead = staticmethod(lambda j: 3), 4.0
 
     def push(self, a):
         u, scale = self._take(a)
@@ -253,6 +265,7 @@ class Cgs2LaggedState(QrState):
     """
 
     scheme_id = "cgs2-lagged"
+    column_synchs, flop_lead = staticmethod(lambda j: 2), 4.0
 
     def push(self, a):
         u, scale = self._take(a)
@@ -262,8 +275,7 @@ class Cgs2LaggedState(QrState):
         w = self._q[:, j : j + 1]  # [Q, w] is then a view
         fused = mv_trans_mv(self._q[:, : j + 1], w, ledger=self.ledger)[:, 0]
         c, beta = fused[:j], fused[j]
-        self._guard(s + c, float(np.sqrt(max(beta, 0.0))), scale)
-        alpha = self._pythagorean_norm(beta, c, self.npushed)
+        alpha = self._pythagorean_norm(s + c, beta, c, scale)
         mv_times_mat_add_mv(w, Q, c[:, None], ledger=self.ledger)
         self.npushed += 1
         self._emit(s + c, alpha)
@@ -277,6 +289,7 @@ class MgsState(QrState):
     """
 
     scheme_id = "mgs"
+    column_synchs, flop_lead = staticmethod(lambda j: j), 2.0
 
     def push(self, a):
         u, scale = self._take(a)
@@ -329,6 +342,7 @@ class _DelayedState(QrState):
     """
 
     pushes_start = True
+    column_synchs = staticmethod(lambda j: 1)  # the first push is free, the flush pays one
     corrects_vector = False  # emits the pending column w as (w - Q c) / alpha
 
     def _stash(self, coeffs, scale):
@@ -419,6 +433,7 @@ class IcwyMgsState(_DelayedState):
     """
 
     scheme_id = "icwy-mgs"
+    flop_lead = 3.0
 
     def __init__(self, m, n_cap, ledger=None):
         super().__init__(m, n_cap, ledger)
@@ -459,18 +474,17 @@ class Dcgs2State(_DelayedState):
     identity on the once-projected pending vector and the lagged projection
     coefficient is corrected through the unnormalized quantities.
     ``finalize`` flushes the last pending column with a plain CGS2 pass
-    (two more reductions).
+    (two reductions, one more than the per-column rule).
     """
 
     scheme_id = "dcgs2"
+    flop_lead, flush_synchs = 4.0, 1
     corrects_vector = True
 
     def _emit_pending(self, c, beta):
         """Reorthogonalize, normalize, and emit the pending column."""
-        j = self.ncols
         coeffs = self.pending + c
-        self._guard(coeffs, float(np.sqrt(max(beta, 0.0))), self._pscale)
-        alpha = self._pythagorean_norm(beta, c, j)
+        alpha = self._pythagorean_norm(coeffs, beta, c, self._pscale)
         self._record(coeffs, alpha)
         return alpha
 
@@ -502,6 +516,7 @@ class Dcgs2HrtState(_DelayedState):
     """
 
     scheme_id = "dcgs2-hrt"
+    flop_lead = 3.0  # no delayed vector correction: 3, not dcgs2's 4
 
     def _emit_pending(self, c, beta):
         self.pending = self.pending + c  # c enters R but not the vector
@@ -527,6 +542,7 @@ class HouseholderState(QrState):
 
     scheme_id = "householder"
     pushes_start = True
+    column_synchs, flop_lead = staticmethod(lambda j: 2 * j), 4.0
 
     def __init__(self, m, n_cap, ledger=None):
         super().__init__(m, n_cap, ledger)
@@ -572,7 +588,7 @@ class HouseholderState(QrState):
         self._record(z[:j], float(refl[0, 0]))
 
 
-#: the scheme registry: the push states, each with a cost model, by scheme id
+#: the scheme registry: the push states, each with its cost model, by scheme id
 _STATES = {
     cls.scheme_id: cls
     for cls in (
@@ -590,13 +606,37 @@ _STATES = {
 SCHEME_IDS = tuple(_STATES)
 
 
+def _state_class(scheme):
+    if scheme not in _STATES:
+        raise UnknownSchemeError(f"unknown scheme {scheme!r}")
+    return _STATES[scheme]
+
+
 def make_state(scheme, m, n_cap, ledger=None):
     """Construct the push state for a scheme id."""
-    try:
-        cls = _STATES[scheme]
-    except KeyError:
-        raise UnknownSchemeError(f"unknown scheme {scheme!r}") from None
-    return cls(m, n_cap, ledger=ledger)
+    return _state_class(scheme)(m, n_cap, ledger=ledger)
+
+
+@dataclass(frozen=True)
+class CostPrediction:
+    """The exact reductions of an n-column ``qr_factorize``, and the flop lead."""
+
+    scheme: str
+    n: int
+    total_synchs: int
+    flop_lead: float
+
+
+def per_iteration_synchs(scheme, j):
+    """Predicted reductions spent on column j (1-based) in steady state."""
+    return _state_class(scheme).column_synchs(j)
+
+
+def predicted_counts(scheme, n):
+    """The per-column rule summed over columns 1..n, plus the flush's extra."""
+    cls = _state_class(scheme)
+    total = sum(cls.column_synchs(j) for j in range(1, n + 1)) + (cls.flush_synchs if n else 0)
+    return CostPrediction(scheme, n, total, cls.flop_lead)
 
 
 def qr_factorize(A, scheme, ledger=None):

@@ -123,6 +123,24 @@ def test_eigenvector_start_immediate_breakdown():
     assert np.allclose(v[:, 0], [1.0, 0.0, 0.0])
 
 
+def test_exhausted_space_is_a_happy_breakdown_for_dcgs2():
+    # in R^2 the third column's lagged beta is noise that clears the guard,
+    # while alpha^2 = beta - c.c is below its rounding: the guard on alpha
+    # stops the expansion at order 2, as cgs2 stops, instead of emitting a
+    # third basis column
+    rng = np.random.default_rng(302)
+    op, start = DenseOperator(rng.standard_normal((2, 2))), rng.standard_normal(2)
+    exp = arnoldi(op, start, "dcgs2", capacity=5)
+    while exp.step():
+        pass
+    v, _ = exp.finalize()
+    assert exp.happy and exp.order == 2 and v.shape == (2, 2)
+    assert loss_of_orthogonality(v) <= 1e-14
+    for scheme in ("cgs2", "dcgs2"):
+        res = gmres_solve(op, start, GmresConfig(max_iters=10, scheme=scheme))
+        assert (res.iterations, res.breakdown) == (2, True), scheme
+
+
 @pytest.mark.parametrize("d", (2, 3, 4, 6))
 @pytest.mark.parametrize("scheme", ("cgs2", "cgs2-lagged", "dcgs2", "householder"))
 def test_invariant_subspace_stops_at_its_dimension(scheme, d):

@@ -164,6 +164,17 @@ def test_one_expansion_per_run(scheme, monkeypatch):
     assert res.restarts > 1 and len(calls) == 1
 
 
+def test_exhausted_space_locks_the_whole_operator():
+    # restart expansions on an order-9 operator run out of directions; under
+    # cgs2-lagged the lagged norm of the last one cancels, which the guard on
+    # alpha reports as a dependent column, a happy breakdown, as under cgs2
+    for scheme in ("cgs2", "cgs2-lagged", "dcgs2"):
+        op = CsrOperator(manteuffel_build(ManteuffelSpec(k=3, beta=2.0)))
+        cfg = KrylovSchurConfig(max_basis=17, scheme=scheme, max_restarts=15)
+        res = krylov_schur_run(op, cfg, seed=1)
+        assert (res.invariant_dim, res.incomplete) == (9, False), scheme
+
+
 def test_restart_budget_flags_incomplete():
     spec = ManteuffelSpec(k=10)
     op = CsrOperator(manteuffel_build(spec))

@@ -1,15 +1,8 @@
 import pytest
 
 from kls.errors import UnknownSchemeError
-from kls.ledger import (
-    MV_DOT,
-    MV_TIMES_MAT_ADD_MV,
-    MV_TRANS_MV,
-    SyncLedger,
-    assert_matches,
-    per_iteration_synchs,
-    predicted_counts,
-)
+from kls.ledger import MV_DOT, MV_TIMES_MAT_ADD_MV, MV_TRANS_MV, SyncLedger, assert_matches
+from kls.ortho import per_iteration_synchs, predicted_counts
 
 
 def test_record_reductions_by_class():
@@ -52,7 +45,7 @@ def test_unknown_kernel_class_rejected():
     "scheme,n,total",
     [
         ("cgs2", 50, 150),  # three reductions per column
-        ("dcgs2", 50, 50),  # one reduction per column, steady state
+        ("dcgs2", 50, 51),  # one per column; the first push is free, the flush pays two
         ("cgs", 50, 100),
         ("cgs2-lagged", 50, 100),
         ("icwy-mgs", 50, 50),
@@ -79,23 +72,19 @@ def test_unknown_scheme():
         predicted_counts("gram", 10)
 
 
-def test_assert_matches_exact_and_slack():
+def _ledger_of(reductions):
     led = SyncLedger()
-    for _ in range(150):
+    for _ in range(reductions):
         led.record(MV_DOT)
-    assert assert_matches(led, predicted_counts("cgs2", 50)).passed
+    return led
 
-    led = SyncLedger()
-    for _ in range(52):  # delayed finalization costs up to two extra
-        led.record(MV_DOT)
-    rep = assert_matches(led, predicted_counts("dcgs2", 50))
-    assert rep.passed and rep.delta == 2
 
-    led = SyncLedger()
-    for _ in range(151):  # cgs2 has no slack
-        led.record(MV_DOT)
-    rep = assert_matches(led, predicted_counts("cgs2", 50))
-    assert not rep.passed and rep.delta == 1
+def test_assert_matches_exact():
+    # a match is equality: dcgs2 spends exactly n + 1, cgs2 exactly 3n
+    for scheme, reductions, delta in (("dcgs2", 51, 0), ("dcgs2", 50, -1), ("dcgs2", 52, 1),
+                                      ("cgs2", 150, 0), ("cgs2", 151, 1)):
+        rep = assert_matches(_ledger_of(reductions), predicted_counts(scheme, 50))
+        assert (rep.passed, rep.delta) == (delta == 0, delta), (scheme, reductions)
 
 
 def test_assert_matches_below_prediction_fails():

@@ -3,13 +3,7 @@ import pytest
 
 from kls.dense import householder_qr
 from kls.errors import BreakdownError, DimensionError, NonFiniteError, UnknownSchemeError
-from kls.ledger import (
-    _COSTS,
-    SyncLedger,
-    assert_matches,
-    per_iteration_synchs,
-    predicted_counts,
-)
+from kls.ledger import SyncLedger, assert_matches
 from kls.metrics import loss_of_orthogonality, representation_error_qr
 from kls.ortho import (
     _STATES,
@@ -17,6 +11,8 @@ from kls.ortho import (
     Dcgs2State,
     _DelayedState,
     make_state,
+    per_iteration_synchs,
+    predicted_counts,
     qr_factorize,
 )
 from kls.problems import synthetic_kappa
@@ -94,9 +90,23 @@ def test_representation_error_machine_level(scheme, rng):
 
 
 def test_registry_agrees_with_cost_models():
-    # every scheme has a cost model and every cost model a scheme
-    assert sorted(SCHEME_IDS) == sorted(_COSTS)
+    # every registered state declares its cost model, none the base's None
+    for scheme in SCHEME_IDS:
+        assert _STATES[scheme].flop_lead and per_iteration_synchs(scheme, 1) >= 1, scheme
     assert DELAYED_SCHEMES == ("icwy-mgs", "dcgs2", "dcgs2-hrt")
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_prediction_is_the_exact_qr_total(scheme, rng):
+    # no interval: dcgs2 spends n + 1 (a free first push, a flush of two),
+    # icwy-mgs and dcgs2-hrt n, and an empty panel nothing
+    for n in (0, 1, 2, 7, 31):
+        led = SyncLedger()
+        qr_factorize(rng.standard_normal((40, n)), scheme, ledger=led)
+        assert led.reductions == predicted_counts(scheme, n).total_synchs, n
+    assert predicted_counts(scheme, 0).total_synchs == 0
+    if scheme in DELAYED_SCHEMES:
+        assert predicted_counts(scheme, 7).total_synchs == (8 if scheme == "dcgs2" else 7)
 
 
 def test_unknown_scheme_rejected():

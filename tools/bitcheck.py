@@ -7,7 +7,7 @@
 fixed cases: QR of a 2000x40 panel and a 1000x30 kappa-1e10 matrix, Arnoldi
 on Manteuffel k=10 (every step's views) and on a 7x7 identity, Arnoldi
 restarted from a Hessenberg and from a dense coupling row, for every scheme
-(keyed ``resume``, as before the restart API);
+of the checkout's ``kls.SCHEME_IDS``;
 GMRES(30) on Manteuffel k=20 and Krylov-Schur on Manteuffel k=10, against
 the exact spectrum and against it with every multiplicity cut to 1 (which
 raises the over-multiplicity flag), for cgs2, dcgs2, householder and
@@ -25,8 +25,8 @@ generators: the CSR arrays of Manteuffel k=10 and k=200, and 2000x50
 exact spectrum ``manteuffel_eigenvalues`` (values, unique values and
 multiplicities, with their dtypes) for k = 1..40, 100 and 200 at beta 0,
 0.5 and 2; the operators: ``to_dense()`` and ``frobenius_norm()`` (twice,
-the second from its cache) of a ``DenseOperator``, a ``CsrOperator`` and ``laplace3d(4, 3,
-5)`` (keyed ``stencil``, as when it was matrix-free), and ``eig_diagnostics``
+the second from its cache) of a ``DenseOperator``, a ``CsrOperator`` and
+``laplace3d(4, 3, 5)``, and ``eig_diagnostics``
 on Manteuffel k=6; the CSR arrays ``parse_matrix_market`` reads from each of
 the 8 ``tests/data/good_*.mtx`` files next to this script (so that both
 checkouts parse the same files); and
@@ -42,8 +42,7 @@ under it one line per differing leaf of the output (the first ``LEAVES``):
 its index path, and both values of a scalar or the shapes and largest
 difference of an array.  Two outputs are the same only when every array is
 equal bit for bit.  Run ``dump`` once per checkout, in its own process.
-A dump by an older script lacks the operator cases; dump both checkouts
-with one script to compare them.
+Dump both checkouts with one script to compare them.
 Load only dumps this script wrote: unpickling runs code.
 """
 
@@ -69,7 +68,7 @@ CLI_RUNS = (
     ("sync-count", "--rows", "400", "--cols", "16", "--seed", "2"),
 )
 
-#: more runs, keyed by subcommand and tag so that the keys of CLI_RUNS stay as they were
+#: more runs, keyed by subcommand and tag
 CLI_VARIANTS = (
     ("mtx", ("gmres", "--mtx", MTX, "--steps", "4")),
     ("mtx", ("arnoldi-stability", "--mtx", MTX, "--steps", "3", "--stride", "1")),
@@ -82,14 +81,11 @@ def dump(checkout, path):
     sys.path.insert(0, f"{checkout}/src")
     import numpy as np
     from kls.cli import main
-    from kls import (CsrOperator, DenseOperator, EigenvalueTable, GmresConfig, KrylovSchurConfig,
-                     ManteuffelSpec, SyncLedger, arnoldi, arnoldi_expand, eig_diagnostics, gmres_solve,
-                     krylov_schur_run, laplace3d, manteuffel_build, manteuffel_eigenvalues,
-                     parse_matrix_market, qr_factorize, synthetic_kappa)
+    from kls import (SCHEME_IDS, CsrOperator, DenseOperator, EigenvalueTable, GmresConfig,
+                     KrylovSchurConfig, ManteuffelSpec, SyncLedger, arnoldi, arnoldi_expand,
+                     eig_diagnostics, gmres_solve, krylov_schur_run, laplace3d, manteuffel_build,
+                     manteuffel_eigenvalues, parse_matrix_market, qr_factorize, synthetic_kappa)
     out = {}
-    schemes = ("cgs", "cgs2", "cgs2-lagged", "mgs", "icwy-mgs", "dcgs2", "dcgs2-hrt",
-               "householder")
-    opt = "{}"  # the keys' former options field, so that older dumps still compare
 
     def run(key, fn):
         led = SyncLedger()
@@ -128,8 +124,8 @@ def dump(checkout, path):
     run(("eig-diagnostics", "m6"), diagnostics)
     panel = np.random.Generator(np.random.PCG64(11)).standard_normal((2000, 40))
     for name, a in (("panel", panel), ("kappa", synthetic_kappa(1000, 30, 1e10, 3))):
-        for s in schemes:
-            run(("qr", name, s, opt), lambda led: qr_factorize(a, s, ledger=led))
+        for s in SCHEME_IDS:
+            run(("qr", name, s), lambda led: qr_factorize(a, s, ledger=led))
     m10 = CsrOperator(manteuffel_build(ManteuffelSpec(k=10)))
     start = np.random.Generator(np.random.PCG64(77)).standard_normal(m10.n)
 
@@ -144,15 +140,15 @@ def dump(checkout, path):
                 break
         return exp.finalize(), views, op.napply, exp.happy
 
-    for s in schemes:
-        run(("arnoldi", "m10", s, opt), lambda led: expand(m10, start, s, 40, led))
-        run(("arnoldi", "eye7", s, opt),
+    for s in SCHEME_IDS:
+        run(("arnoldi", "m10", s), lambda led: expand(m10, start, s, 40, led))
+        run(("arnoldi", "eye7", s),
             lambda led: expand(DenseOperator(np.eye(7)), np.ones(7), s, 6, led))
     v0, h0 = arnoldi_expand(m10, start, "cgs2", steps=10)
     dense = h0.copy()
     dense[10, :] = 0.3 * np.arange(1.0, 11.0)
     for row, hb in (("hessenberg", h0), ("dense", dense)):
-        for s in schemes:
+        for s in SCHEME_IDS:
             def resume(led):
                 m10.napply = 0
                 exp = arnoldi(m10, None, s, capacity=30, ledger=led)
@@ -160,7 +156,7 @@ def dump(checkout, path):
                 while exp.order < 25:
                     exp.step()
                 return exp.finalize(), m10.napply
-            run(("resume", row, s, opt), resume)
+            run(("resume", row, s), resume)
     m20 = CsrOperator(manteuffel_build(ManteuffelSpec(k=20)))
     b = np.random.Generator(np.random.PCG64(5)).standard_normal(m20.n)
     spec = ManteuffelSpec(k=10)
@@ -197,7 +193,7 @@ def dump(checkout, path):
         run(("krylov-schur", s, "complex"), ks_complex)
     tall = np.random.Generator(np.random.PCG64(12)).standard_normal((30000, 24))
     for s in ("icwy-mgs", "dcgs2", "dcgs2-hrt"):
-        run(("qr", "tall", s, opt), lambda led: qr_factorize(tall, s, ledger=led))
+        run(("qr", "tall", s), lambda led: qr_factorize(tall, s, ledger=led))
     m100 = CsrOperator(manteuffel_build(ManteuffelSpec(k=100)))
     b100 = np.random.Generator(np.random.PCG64(6)).standard_normal(m100.n)
 
