@@ -79,13 +79,20 @@ def _fmt(x):
     return str(x)
 
 
+def _blas(module):
+    """Name and version of the BLAS numpy or scipy is built on."""
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 def _sweep(args, header_pairs, columns, points, worker):
     """Run ``worker`` on every point, write the CSV and return the exit code.
 
     The points run on a pool of ``--jobs`` threads (one for ``--jobs 1``).
     ``worker`` returns the rows of one point, each a tuple of fields whose
     last is the row status; the rows keep the order of ``points``.  The
-    header records the numpy, scipy and BLAS versions, OPENBLAS_NUM_THREADS
+    header records the numpy and scipy versions, the BLAS each is built on
+    (every LAPACK call runs on scipy's), OPENBLAS_NUM_THREADS
     (``unset`` when it is), ``args.scheme``, ``header_pairs`` and
     ``args.seed``.  The exit code is 4 when a numerical failure halted a
     run, 3 on an over-multiplicity or FAIL row, else 0.
@@ -93,9 +100,8 @@ def _sweep(args, header_pairs, columns, points, worker):
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         chunks = list(pool.map(worker, points))
     rows = [row for chunk in chunks for row in chunk]
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     pairs = [("numpy", np.__version__), ("scipy", scipy.__version__),
-             ("blas", f"{blas.get('name')} {blas.get('version')}"),
+             ("blas", _blas(np)), ("scipy_blas", _blas(scipy)),
              ("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "unset")),
              ("schemes", "|".join(args.scheme)), *header_pairs, ("seed", args.seed)]
     lines = [f"# kls-bench {__version__}", f"# subcommand: {args.command}"]

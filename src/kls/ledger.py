@@ -4,11 +4,11 @@ A "global reduction" is counted at kernel granularity: every invocation of a
 reducing kernel class (``MvTransMv``, ``MvDot``) is one synchronization,
 regardless of how many values the call reduces.  ``MvTimesMatAddMv`` never
 reduces.  One ledger belongs to one run; parallel runs use separate ledgers.
-Two ``np.linalg.norm`` calls, each a global reduction in a distributed run,
-are left out: the breakdown guard's norm of every pushed column, for every
-scheme (``ortho.QrState._take``; it could be fused into the column's first
-reduction, [Q, a]^T a), and the immediate Gram-Schmidt schemes' start-vector
-norm, once per GMRES cycle or expansion (``arnoldi``'s ``restart``).
+One ``np.linalg.norm``, a global reduction in a distributed run, is left
+out: the start vector's, once per GMRES cycle or expansion (``arnoldi``'s
+``restart``).  Pushes take none: the guard's scale is the Pythagorean norm
+of what a scheme has reduced (``ortho.QrState._guard``).  Nor are GMRES's
+diagnostics: ``bnorm`` once, three norms per cycle in ``backward_error``.
 
 The push states declare the cost models that predict these counters
 (``ortho.predicted_counts``).

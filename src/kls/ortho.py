@@ -50,12 +50,6 @@ _EPS = np.finfo(np.float64).eps
 _COPY_BYTES = 1 << 20
 
 
-def independent(alpha, scale, m):
-    """True when a projected norm stands above the rounding noise of the
-    projection, which reaches sqrt(m)*eps*scale."""
-    return alpha > _EPS * np.sqrt(m) * scale
-
-
 def cgs_pass(Q, w, ledger):
     """One classical Gram-Schmidt pass: c = Q^T w (one reduction), then
     w <- w - Q c in place; returns c, 1-D."""
@@ -114,13 +108,9 @@ class QrState:
         return self._r[: self.npushed, : self.npushed]
 
     def _take(self, a):
-        """Copy a pushed column into its home, column ``npushed``; returns
-        the home and the column's norm.
-
-        The norm is the breakdown guard's scale.  Any NaN or infinity makes
-        it non-finite, so the elementwise scan runs only then (a finite
-        column whose norm overflows passes it).
-        """
+        """Copy a pushed column into its home, column ``npushed``, and
+        return the home; NaN or infinity raises NonFiniteError (a local
+        scan: the guard's scale needs no norm, see ``_guard``)."""
         a = np.asarray(a, dtype=np.float64)
         if a.shape != (self.m,):
             raise DimensionError(f"column of length {self.m} expected, got {a.shape}")
@@ -128,16 +118,16 @@ class QrState:
             raise DimensionError("state capacity exhausted")
         home = self._q[:, self.npushed]
         home[:] = a
-        scale = float(np.linalg.norm(home))
-        if not np.isfinite(scale):
-            check_finite(home, self.scheme_id, self.npushed)
-        return home, scale
+        check_finite(home, self.scheme_id, self.npushed)
+        return home
 
-    def _guard(self, coeffs, alpha, scale):
-        """A column whose norm alpha vanished to rounding is dropped and
-        reported as dependent; its R column keeps the attempted coefficients
-        over its zero diagonal."""
-        if not independent(alpha, scale, self.m):
+    def _guard(self, coeffs, alpha):
+        """A column whose norm alpha is within sqrt(m) eps scale, the
+        projection's rounding, is dropped and reported as dependent; its R
+        column keeps the attempted coefficients over its zero diagonal.  The
+        scale sqrt(coeffs.coeffs + alpha^2) is a local dot, no reduction."""
+        scale = float(np.sqrt(float(coeffs @ coeffs) + alpha * alpha))
+        if not alpha > _EPS * np.sqrt(self.m) * scale:
             self._q[:, self.ncols] = 0.0
             self._r[: len(coeffs), self.ncols] = coeffs
             self.pending = None
@@ -148,14 +138,14 @@ class QrState:
                 column=self.ncols,
             )
 
-    def _pythagorean_norm(self, coeffs, beta, c, scale):
+    def _pythagorean_norm(self, coeffs, beta, c):
         """Norm alpha of w - Q c from beta = w.w and c = Q^T w, guarded: in an
         exhausted Krylov space beta is noise that clears the guard, while
         alpha^2 = beta - c.c is below the subtraction's rounding."""
         alpha_sq = float(beta) - float(c @ c)  # Python floats: inf - inf is nan, unwarned
         self.ledger.add_flops(2 * len(c))
         alpha = float(np.sqrt(max(alpha_sq, 0.0)))
-        self._guard(coeffs, alpha, scale)
+        self._guard(coeffs, alpha)
         if not alpha_sq > beta * _EPS * _EPS:
             raise BreakdownError(
                 f"cancellation in the lagged norm of column {self.ncols}",
@@ -165,7 +155,10 @@ class QrState:
         return alpha
 
     def _emit(self, coeffs, alpha):
-        """Normalize basis column ncols, built in place, by alpha; record it."""
+        """Guard alpha, then normalize basis column ncols, built in place,
+        by it and record it: the immediate schemes' push tail."""
+        self._guard(coeffs, alpha)
+        self.npushed += 1
         self._q[:, self.ncols] /= alpha
         self._record(coeffs, alpha)
 
@@ -229,30 +222,22 @@ class CgsState(QrState):
 
     scheme_id = "cgs"
     column_synchs, flop_lead = staticmethod(lambda j: 2), 2.0
+    passes = 1  # classical passes before the normalization
 
     def push(self, a):
-        u, scale = self._take(a)
+        u = self._take(a)
         s = cgs_pass(self.q, u, self.ledger)
-        alpha = norm2(u, ledger=self.ledger)
-        self._guard(s, alpha, scale)
-        self.npushed += 1
-        self._emit(s, alpha)
+        for _ in range(1, self.passes):
+            s = s + cgs_pass(self.q, u, self.ledger)
+        self._emit(s, norm2(u, ledger=self.ledger))
 
 
-class Cgs2State(QrState):
-    """CGS with full reorthogonalization: 3 reductions per column."""
+class Cgs2State(CgsState):
+    """CGS with a second, reorthogonalizing pass: 3 reductions per column."""
 
     scheme_id = "cgs2"
     column_synchs, flop_lead = staticmethod(lambda j: 3), 4.0
-
-    def push(self, a):
-        u, scale = self._take(a)
-        s = cgs_pass(self.q, u, self.ledger)
-        c = cgs_pass(self.q, u, self.ledger)
-        alpha = norm2(u, ledger=self.ledger)
-        self._guard(s + c, alpha, scale)
-        self.npushed += 1
-        self._emit(s + c, alpha)
+    passes = 2
 
 
 class Cgs2LaggedState(QrState):
@@ -268,17 +253,18 @@ class Cgs2LaggedState(QrState):
     column_synchs, flop_lead = staticmethod(lambda j: 2), 4.0
 
     def push(self, a):
-        u, scale = self._take(a)
+        u = self._take(a)
         j = self.ncols
         Q = self.q
         s = cgs_pass(Q, u, self.ledger)
         w = self._q[:, j : j + 1]  # [Q, w] is then a view
         fused = mv_trans_mv(self._q[:, : j + 1], w, ledger=self.ledger)[:, 0]
         c, beta = fused[:j], fused[j]
-        alpha = self._pythagorean_norm(s + c, beta, c, scale)
+        alpha = self._pythagorean_norm(s + c, beta, c)  # guarded, so no _emit
         mv_times_mat_add_mv(w, Q, c[:, None], ledger=self.ledger)
         self.npushed += 1
-        self._emit(s + c, alpha)
+        w /= alpha
+        self._record(s + c, alpha)
 
 
 class MgsState(QrState):
@@ -292,17 +278,14 @@ class MgsState(QrState):
     column_synchs, flop_lead = staticmethod(lambda j: j), 2.0
 
     def push(self, a):
-        u, scale = self._take(a)
+        u = self._take(a)
         j = self.ncols
         s = np.zeros(j)
         for i in range(j):
             qi = self._q[:, i]
             s[i] = dot(qi, u, ledger=self.ledger)
             mv_times_mat_add_mv(u[:, None], qi[:, None], [[s[i]]], ledger=self.ledger)
-        alpha = norm2(u, ledger=self.ledger)
-        self._guard(s, alpha, scale)
-        self.npushed += 1
-        self._emit(s, alpha)
+        self._emit(s, norm2(u, ledger=self.ledger))
 
 
 class _DelayedState(QrState):
@@ -345,10 +328,9 @@ class _DelayedState(QrState):
     column_synchs = staticmethod(lambda j: 1)  # the first push is free, the flush pays one
     corrects_vector = False  # emits the pending column w as (w - Q c) / alpha
 
-    def _stash(self, coeffs, scale):
+    def _stash(self, coeffs):
         """Hold the column at home, projected by coeffs, as pending."""
         self.pending = coeffs
-        self._pscale = scale  # norm of the pending column's input, breakdown guard
         self.npushed += 1
 
     def _project(self, s):
@@ -356,14 +338,14 @@ class _DelayedState(QrState):
         return s
 
     def push(self, a, pending_image=False):
-        a, scale = self._take(a)  # home: column j, or j + 1 behind a pending one
+        a = self._take(a)  # home: column j, or j + 1 behind a pending one
         j = self.ncols  # pending column index
         if self.pending is None:
             s = np.zeros(0)
             if j:
                 s = self._project(mv_trans_mv(self.q, a[:, None], ledger=self.ledger)[:, 0])
                 mv_times_mat_add_mv(a[:, None], self.q, s[:, None], ledger=self.ledger)
-            self._stash(s, scale)
+            self._stash(s)
             return
         g, self._held = self._held, None
         if g is None:
@@ -384,7 +366,7 @@ class _DelayedState(QrState):
             if correction is not None:  # the Hessenberg correction
                 coeffs = coeffs - (self._r[: j + 1, 1 : j + 1] @ correction) / alpha
                 self.ledger.add_flops(2 * (j + 1) * j)
-        self._stash(coeffs, scale / d)
+        self._stash(coeffs)
 
     def _pass(self, j, alpha, d, coeffs, c):
         """w <- (w - Q c) / alpha (w <- w / alpha with c None), then
@@ -404,7 +386,7 @@ class _DelayedState(QrState):
 
     def _emit_held(self, alpha):
         """Record the pending column as held, with norm alpha, undivided."""
-        self._guard(self.pending, alpha, self._pscale)
+        self._guard(self.pending, alpha)
         self._record(self.pending, alpha)
         return alpha
 
@@ -484,7 +466,7 @@ class Dcgs2State(_DelayedState):
     def _emit_pending(self, c, beta):
         """Reorthogonalize, normalize, and emit the pending column."""
         coeffs = self.pending + c
-        alpha = self._pythagorean_norm(coeffs, beta, c, self._pscale)
+        alpha = self._pythagorean_norm(coeffs, beta, c)
         self._record(coeffs, alpha)
         return alpha
 
@@ -537,7 +519,8 @@ class HouseholderState(QrState):
     formulas, identity reflectors included: one dot and one update per
     applied reflector and one dot (the tail norm) per new one, 2(j + 1)
     reductions at push j; an adopted column costs what it does in the
-    right-looking loop, a tail norm, one fused product and one update.
+    right-looking loop, a tail norm, one fused product and one update.  The
+    guard reads ``dgeqrfp``'s scaled tail norm, which no underflow zeroes.
     """
 
     scheme_id = "householder"
@@ -571,14 +554,15 @@ class HouseholderState(QrState):
         return lapack.dormqr("L", trans, self._refl[:, :r], tau, z[:, None], lwork=1)[0][:, 0]
 
     def push(self, a):
-        z, scale = self._take(a)
+        z = self._take(a)
         j = self.ncols
         if j:
             z = self._apply(z, j, "T")
-        self._guard(z[:j], float(np.linalg.norm(z[j:])), scale)
-        # P_j zeroes z below row j and leaves +||z[j:]|| in row j
-        self.ledger.record(MV_DOT, flops=2 * (self.m - j - 1))
+        # P_j zeroes z below row j and leaves +||z[j:]|| in row j, where the
+        # guard reads it before any state changes (dgeqrfp writes locals)
         refl, tau, _ = lapack.dgeqrfp(z[j:, None])
+        self._guard(z[:j], float(refl[0, 0]))
+        self.ledger.record(MV_DOT, flops=2 * (self.m - j - 1))
         self._refl[j:, j] = refl[:, 0]
         self._tau[j] = tau[0]
         e = np.zeros(self.m)

@@ -328,6 +328,7 @@ def test_header_records_the_blas_setting():
     headers = [[ln for ln in out.splitlines() if ln.startswith(b"#")] for out in (one, two)]
     assert b"# OPENBLAS_NUM_THREADS: 1" in headers[0] and headers[0] != headers[1]
     assert any(ln.startswith(b"# blas: ") for ln in headers[0])
+    assert any(ln.startswith(b"# scipy_blas: ") for ln in headers[0])
 
 
 def test_gmres_breakdown_exit_code_4(tmp_path, monkeypatch):

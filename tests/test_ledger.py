@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
+from kls.arnoldi import arnoldi_expand
+from kls.eig import KrylovSchurConfig, krylov_schur_run
 from kls.errors import UnknownSchemeError
 from kls.ledger import MV_DOT, MV_TIMES_MAT_ADD_MV, MV_TRANS_MV, SyncLedger, assert_matches
-from kls.ortho import per_iteration_synchs, predicted_counts
+from kls.ortho import SCHEME_IDS, per_iteration_synchs, predicted_counts, qr_factorize
+from kls.problems import CsrOperator, ManteuffelSpec, manteuffel_build
 
 
 def test_record_reductions_by_class():
@@ -110,3 +114,31 @@ def test_flop_lead_coefficients_at_scale():
         lead = led.flops / (m * n * n)
         expect = predicted_counts(scheme, n).flop_lead
         assert abs(lead - expect) <= 0.1 * expect, (scheme, lead, expect)
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_no_norm_outside_the_ledger_but_the_start(scheme, monkeypatch):
+    # a length-m np.linalg.norm is a global reduction the ledger does not
+    # see: QR takes none, an expansion one (its start vector's, in
+    # ``restart``), and a Krylov-Schur thick restart adopts its start
+    op = CsrOperator(manteuffel_build(ManteuffelSpec(k=20)))
+    m = op.shape[0]
+    gen = np.random.Generator(np.random.PCG64(3))
+    norm, calls = np.linalg.norm, []
+
+    def spy(x, *args, **kwargs):
+        calls.append(np.ndim(x) == 1 and np.shape(x)[0] == m)
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    runs = (
+        lambda: qr_factorize(gen.standard_normal((m, 20)), scheme),
+        lambda: arnoldi_expand(op, gen.standard_normal(m), scheme, 20),
+        lambda: krylov_schur_run(op, KrylovSchurConfig(20, max_restarts=3, scheme=scheme), seed=3),
+    )
+    counts = []
+    for run in runs:
+        calls.clear()
+        run()
+        counts.append(sum(calls))
+    assert counts == [0, 1, 1]

@@ -264,6 +264,33 @@ def test_overflowing_norm_is_a_breakdown(scheme, rng):
     assert err.value.column == 2
 
 
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_breakdown_guard_is_homogeneous(scheme):
+    # the guard's scale, sqrt(coeffs.coeffs + alpha^2), scales with the
+    # column: a panel scaled by 2^e breaks down at the same column, and a
+    # full-rank one returns the same Q, bit for bit, and R scaled by 2^e
+    a = np.random.Generator(np.random.PCG64(5)).standard_normal((300, 8))
+    dep = a.copy()
+    dep[:, 5] = a[:, :5] @ np.array([1.0, -2.0, 0.5, 3.0, -1.5])
+    q1, r1 = qr_factorize(a, scheme)
+    for e in (-400, 0, 400):
+        with pytest.raises(BreakdownError) as err:
+            qr_factorize(np.ldexp(dep, e), scheme)
+        assert (err.value.kind, err.value.column) == ("dependent", 5)
+        q, r = qr_factorize(np.ldexp(a, e), scheme)
+        assert _bits(q) == _bits(q1) and _bits(r) == _bits(np.ldexp(r1, e))
+
+
+def test_householder_guard_reads_the_reflector_norm():
+    # column 3's squares underflow, so a plain norm would read 0; the guard
+    # reads dgeqrfp's scaled +||z[j:]|| and the column stays independent
+    a = np.random.Generator(np.random.PCG64(5)).standard_normal((300, 8))
+    a[:, 3] *= 1e-170
+    q, r = qr_factorize(a, "householder")
+    assert loss_of_orthogonality(q) <= 1e-14
+    assert np.allclose(q @ (r[:, 3] * 1e170), a[:, 3] * 1e170, rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # scheme-specific behavior
 
@@ -310,7 +337,7 @@ def test_dcgs2_hand_worked_step():
     state.adopt(np.array([[0.0], [0.0], [1.0]]))
     w = np.array([3.0, 4.0, 1.0])
     state._q[:, 1] = w  # the column's home: _stash holds it in place
-    state._stash(np.array([0.0]), float(np.linalg.norm(w)))
+    state._stash(np.array([0.0]))
     state.push(np.array([1.0, 0.0, 0.0]))
     # beta = 26, c = 1, alpha = sqrt(25) = 5, q = (w - c*q0)/alpha
     assert state._r[1, 1] == pytest.approx(5.0, rel=1e-15)
